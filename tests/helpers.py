@@ -19,6 +19,38 @@ def check_graph_invariants(g: Graph) -> None:
             assert u in g.neighbors_of(int(v)), f"asymmetric edge {u}-{v}"
 
 
+def from_edges_reference(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for Graph.from_edges: the unique-key + lexsort + add.at build.
+
+    Returns (offsets, neighbors) of the simple undirected graph on n nodes.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if len(edges):
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
+        keep = lo != hi
+        lo, hi = lo[keep], hi[keep]
+        key = np.unique(lo * np.int64(n) + hi)
+        lo, hi = key // n, key % n
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+    else:
+        src = dst = np.empty(0, dtype=np.int64)
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(offsets, src + 1, 1)
+    np.cumsum(offsets, out=offsets)
+    return offsets, dst
+
+
+def edge_lines_reference(g: Graph, original_ids: bool = True) -> list[str]:
+    """Oracle for Graph.to_edge_lines: a per-node loop over the adjacency."""
+    ids = g.original_ids if original_ids else np.arange(g.n)
+    return [f"{ids[u]} {ids[v]}" for u in range(g.n)
+            for v in g.neighbors_of(u) if u < v]
+
+
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True

@@ -59,6 +59,13 @@ class TestExitCodes:
         assert main(["ingest", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_id_beyond_int64_is_runtime_error(self, tmp_path, capsys):
+        big = tmp_path / "big.txt"
+        big.write_text("99999999999999999999 1\n")
+        assert main(["ingest", str(big)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "out of int64 range" in err
+
     def test_k_larger_than_n(self, star_file, capsys):
         rc = main(["detect", star_file, "--k", "10", "--rule", "fixed",
                    "--m", "5"])
@@ -98,6 +105,27 @@ class TestDetect:
         rc = main(["detect", str(cache), "--k", "1", "--rule", "fixed",
                    "--m", "20", "--alpha", "1", "--seed", "0"])
         assert rc == 0
+
+
+    def test_detect_from_compressed_cache(self, pa_file, tmp_path, capsys):
+        """Caches written by np.savez_compressed still load, array for array,
+        and detect on them prints what it prints on a new cache."""
+        g = dw.load_edge_list(pa_file)
+        old = tmp_path / "old.npz"
+        np.savez_compressed(old, offsets=g.offsets, neighbors=g.neighbors,
+                            original_ids=g.original_ids)
+        loaded = dw.Graph.load_npz(old)
+        for name in ("offsets", "neighbors", "original_ids"):
+            assert np.array_equal(getattr(loaded, name), getattr(g, name)), name
+        new = tmp_path / "new.npz"
+        g.save_npz(new)
+        args = ["--k", "3", "--rule", "r2", "--b-bar", "2", "--alpha", "2",
+                "--seed", "1"]
+        outputs = []
+        for cache in (old, new):
+            assert main(["detect", str(cache), *args]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestGenerateAndIngest:

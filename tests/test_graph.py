@@ -1,10 +1,65 @@
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degreewalk as dw
+from degreewalk import graph as graph_mod
 from degreewalk.graph import EdgeListParseError
 
-from helpers import check_graph_invariants, random_connected_graph, star_graph
+from helpers import (check_graph_invariants, edge_lines_reference,
+                     from_edges_reference, random_connected_graph, star_graph)
+
+# edge-list files on which load_edge_list must agree with the line loop
+PARSE_CASES = {
+    "snap_headers": b"# Undirected graph\n# Nodes: 4 Edges: 3\n"
+                    b"# FromNodeId\tToNodeId\n0\t1\n0\t2\n3\t0\n",
+    "comment_between": b"0 1\n# mid\n1 2\n",
+    "comment_crlf": b"# head\r\n0 1\r\n",
+    "trailing_comment": b"0 1\n1 2 # c\n",
+    "trailing_comment_no_space": b"0 1\n1 2#c\n",
+    "indented_comment": b"0 1\n  # c\n1 2\n",
+    "one_column": b"0 1\n2\n",
+    "three_columns": b"0 1 2\n",
+    "three_columns_later": b"0 1\n1 2\n1 2 3\n",
+    "negative_id": b"0 1\n2 -3\n",
+    "minus_zero": b"-0 1\n",
+    "float_id": b"0 1\n1.0 2\n",
+    "hex_id": b"0 1\n0x1 2\n",
+    "plus_sign": b"+5 1\n2 +0\n",
+    "underscore": b"0 1\n1_0 2\n",
+    "leading_zeros": b"007 0010\n",
+    "crlf": b"0 1\r\n1 2\r\n",
+    "bare_cr": b"0 1\r1 2\r",
+    "cr_splits_a_pair": b"0\r1\n",
+    "blank_and_whitespace_lines": b"\n0 1\n   \n\t\n1 2\n\n",
+    "vertical_tab": b"0\x0b1\n",
+    "no_final_newline": b"0 1\n1 2",
+    "int64_max": b"9223372036854775807 0\n",
+    "int64_max_plus_one": b"0 1\n9223372036854775808 1\n",
+    "beyond_int64": b"0 1\n99999999999999999999 1\n",
+    "non_utf8": b"0 1\n\xff\xfe 2\n",
+    "non_utf8_comment": b"# caf\xe9\n0 1\n",
+    "utf8_comment": "# caf\u00e9\n0 1\n".encode("utf-8"),
+    "non_ascii_digits": "0 1\n\u0661 2\n".encode("utf-8"),
+    "empty_file": b"",
+    "only_comments": b"# nothing here\n",
+}
+
+# well-formed cases the vectorized pass must take on its own
+FAST_CASES = ["snap_headers", "comment_between", "comment_crlf", "minus_zero",
+              "plus_sign", "leading_zeros", "crlf", "blank_and_whitespace_lines",
+              "no_final_newline", "int64_max"]
+
+
+def parse_outcome(parse):
+    """The graph `parse` returns, or the type and line number it raises."""
+    try:
+        return parse()
+    except ValueError as exc:
+        return type(exc), getattr(exc, "lineno", None)
 
 
 def full_sort_top_k(g, k):
@@ -50,6 +105,11 @@ class TestIngest:
         with pytest.raises(EdgeListParseError, match="negative"):
             dw.ingest_edge_list(["0 -1"])
 
+    def test_id_beyond_int64_reports_lineno(self):
+        with pytest.raises(EdgeListParseError,
+                           match="line 2: node id out of int64 range"):
+            dw.ingest_edge_list(["0 1", "99999999999999999999 1"])
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             dw.ingest_edge_list(["# nothing here"])
@@ -72,6 +132,37 @@ class TestIngest:
         for seed in range(4):
             g = random_connected_graph(120, 4.0, seed=seed)
             assert int(g.degrees.sum()) == 2 * g.m_edges
+
+
+class TestLoadEdgeList:
+    @pytest.mark.parametrize("case", sorted(PARSE_CASES))
+    def test_matches_line_loop(self, case, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(PARSE_CASES[case])
+        fast = parse_outcome(lambda: dw.load_edge_list(path))
+        with open(path, encoding="utf-8") as fh:
+            loop = parse_outcome(lambda: dw.ingest_edge_list(fh))
+        if isinstance(loop, dw.Graph):
+            assert isinstance(fast, dw.Graph), fast
+            for name in ("offsets", "neighbors", "original_ids"):
+                assert np.array_equal(getattr(fast, name), getattr(loop, name)), name
+        else:
+            assert fast == loop
+
+    @pytest.mark.parametrize("case", FAST_CASES)
+    def test_well_formed_input_skips_line_loop(self, case, tmp_path, monkeypatch):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(PARSE_CASES[case])
+        with open(path, encoding="utf-8") as fh:
+            want = dw.ingest_edge_list(fh)
+
+        def no_line_loop(*args, **kwargs):
+            raise AssertionError("load_edge_list fell back to the line loop")
+
+        monkeypatch.setattr(graph_mod, "ingest_edge_list", no_line_loop)
+        got = dw.load_edge_list(path)
+        for name in ("offsets", "neighbors", "original_ids"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestTopK:
@@ -135,6 +226,8 @@ class TestBinaryCache:
         assert np.array_equal(g.offsets, g2.offsets)
         assert np.array_equal(g.neighbors, g2.neighbors)
         assert np.array_equal(g.original_ids, g2.original_ids)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
 
 
 class TestGraphConstruction:
@@ -147,3 +240,34 @@ class TestGraphConstruction:
         g = star_graph(5)
         assert list(g.degrees) == [4, 1, 1, 1, 1]
         check_graph_invariants(g)
+
+    def test_key_overflow_rejected(self):
+        # nothing of size n is allocated before the check
+        with pytest.raises(ValueError, match="int64"):
+            dw.Graph.from_edges(np.array([[0, 1]]), n=2**32)
+        with pytest.raises(ValueError, match="int64"):
+            dw.Graph.from_edges(np.array([[0, 2**32]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=3), st.data())
+    def test_matches_reference_build(self, used, isolated, data):
+        """Random multigraphs with self-loops, duplicates, reversed pairs and
+        trailing isolated nodes."""
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, used - 1),
+                                             st.integers(0, used - 1)), max_size=40))
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        n = used + isolated
+        g = dw.Graph.from_edges(edges, n=n)
+        offsets, neighbors = from_edges_reference(edges, n)
+        assert np.array_equal(g.offsets, offsets)
+        assert np.array_equal(g.neighbors, neighbors)
+        if len(edges):
+            inferred = dw.Graph.from_edges(edges)
+            offsets, neighbors = from_edges_reference(edges, int(edges.max()) + 1)
+            assert np.array_equal(inferred.offsets, offsets)
+            assert np.array_equal(inferred.neighbors, neighbors)
+        relabelled = dw.Graph(g.offsets, g.neighbors, np.arange(n) * 7 + 3)
+        for original in (True, False):
+            assert (list(relabelled.to_edge_lines(original))
+                    == edge_lines_reference(relabelled, original))
