@@ -1,8 +1,8 @@
 """Golden-output guard: pinned sha256 of small seeded CLI runs.
 
-A refactor of the graph layer, the generators or the walk must leave every
-hash below unchanged. A change meant to alter an output updates its hash
-and says why in CHANGES.md.
+A refactor of the graph layer, the generators, the walk or the detector must
+leave every hash below unchanged. A change meant to alter an output updates
+its hash and says why in CHANGES.md.
 """
 
 import hashlib
@@ -30,9 +30,40 @@ GOLDEN = {
         "3c9fd80bd382518226304c26fff80fe24e04bd7aceb90988174c1d05a7c25687",
     "arrays_load_npz":
         "3c9fd80bd382518226304c26fff80fe24e04bd7aceb90988174c1d05a7c25687",
+    "detect_r0_everystep":
+        "5be84792f300e2f784118fd42036e106d691f2fcc56198cf6584f8c2d3e75ae2",
+    "detect_r0_thinned":
+        "a277828ad44363aa92dda6982a7f9f853d5d4de090713f91a3660aae50201b04",
+    "detect_r1_everystep":
+        "9a34d835bf82b8ab88c3f9425c1c84749b83e0e4a8a3b8809f24d49475b7ea6c",
+    "detect_r1_thinned":
+        "eff0b1cdf466c4249a3b067f6da6efb412c74ae5441d452b33e3077b685c3fb3",
+    "detect_r2_everystep":
+        "e2f3f5c61b32f643db8f663bd09394753de2b9aed811b5deb2f0e2151529934a",
+    "detect_fixed_everystep":
+        "4707d85b12bb6447feabc7c66d26c7438bcdc64d949c42a9503c3b3c432acc07",
+    "detect_fixed_thinned":
+        "c5f559564424ab058655ba4ddc717903263614df7cae280f357becec5abf450b",
+    "timeout_r0":
+        "94c7c3e9563cd9d0b4d7ada0c3e582c80ae288f9b7eac025a24ad150ff8a259b",
+    "timeout_r1":
+        "68cde2d0b7ff4f7d14bd9238e48979ba7ec740e20c8e9cbeb6111a7e4e1d174d",
+    "timeout_r2":
+        "931801ad8b02d4fbd617af5cf67a449363c7b20eb290742936c2a80dcc8f7e99",
+    "timeout_fixed":
+        "109eb379f22eb8541c0aeb27edf704886b97947bc65ef7dce7d5891fc24a52a5",
+    "k_eq_n_r0":
+        "107e7e2754f0c6fd27012c0472c7b3b35a548f24e36d1773edbdc49d63fdba9d",
+    "k_eq_n_r1":
+        "654064e24dbb25bec6673d80f1ac51f5df1d38b24673ef631ca41a26e07dcac0",
+    "k_eq_n_r2":
+        "b55932ae3c8b4c5292255e9bb39ef9ad69c716e585fc8571e9b467ac5d95d685",
+    "k_eq_n_fixed":
+        "c908e660c4028a272348dac6b93f72f0c1d625e880fbbe1edf0a9a33ee422777",
 }
 
 PA_ARGS = ["generate", "pa", "--n", "2000", "--seed", "7"]
+SMALL_PA_ARGS = ["generate", "pa", "--n", "40", "--seed", "3"]
 CM_ARGS = ["generate", "cm", "--n", "2000", "--gamma", "2.5", "--c", "3.7",
            "--xprime", "1.6878", "--seed", "7"]
 
@@ -54,11 +85,33 @@ def run_stdout(capsys, argv) -> str:
     return capsys.readouterr().out
 
 
+def run_detect(capsys, cache, args) -> tuple[int, str]:
+    capsys.readouterr()
+    code = main(["detect", str(cache), "--alpha", "2", "--seed", "1"] + args)
+    return code, capsys.readouterr().out
+
+
+def ingest_cache(capsys, tmp_path, gen_args):
+    text = tmp_path / "graph.txt"
+    text.write_text(run_stdout(capsys, gen_args), encoding="utf-8")
+    cache = tmp_path / "graph.npz"
+    run_stdout(capsys, ["ingest", str(text), "--cache", str(cache)])
+    return cache
+
+
 @pytest.fixture
 def pa_text(tmp_path, capsys):
     path = tmp_path / "pa.txt"
     path.write_text(run_stdout(capsys, PA_ARGS), encoding="utf-8")
     return path
+
+
+RULE_ARGS = {
+    "r0": ["--rule", "r0", "--a-bar", "0.5"],
+    "r1": ["--rule", "r1", "--a-bar", "0.3"],
+    "r2": ["--rule", "r2", "--b-bar", "7"],
+    "fixed": ["--rule", "fixed", "--m", "3000"],
+}
 
 
 class TestGoldenOutputs:
@@ -91,3 +144,39 @@ class TestGoldenOutputs:
         assert graph_sha(cm) == GOLDEN["arrays_generate_cm"]
         assert graph_sha(parsed) == GOLDEN["arrays_load_edge_list"]
         assert graph_sha(dw.Graph.load_npz(cache)) == GOLDEN["arrays_load_npz"]
+
+
+class TestGoldenDetect:
+    """Every rule and sampling mode on the n=2000 cache, the per-rule
+    --max-steps timeouts (exit code 2, fired=False) and k == n."""
+
+    @pytest.mark.parametrize("rule,mode", [
+        ("r0", "everystep"), ("r0", "thinned"), ("r1", "everystep"),
+        ("r1", "thinned"), ("r2", "everystep"), ("fixed", "everystep"),
+        ("fixed", "thinned")])
+    def test_rule_and_mode(self, rule, mode, tmp_path, capsys):
+        cache = ingest_cache(capsys, tmp_path, PA_ARGS)
+        code, out = run_detect(capsys, cache, ["--k", "10", "--mode", mode]
+                               + RULE_ARGS[rule])
+        assert code == 0 and "fired=True" in out
+        assert sha(out) == GOLDEN[f"detect_{rule}_{mode}"]
+
+    @pytest.mark.parametrize("rule", ["r0", "r1", "r2", "fixed"])
+    def test_max_steps_timeout(self, rule, tmp_path, capsys):
+        cache = ingest_cache(capsys, tmp_path, PA_ARGS)
+        code, out = run_detect(capsys, cache, ["--k", "10", "--max-steps", "400"]
+                               + RULE_ARGS[rule])
+        assert code == 2 and "fired=False" in out and "raw_steps=400 " in out
+        assert sha(out) == GOLDEN[f"timeout_{rule}"]
+
+    @pytest.mark.parametrize("rule", ["r0", "r1", "r2", "fixed"])
+    def test_k_equals_n(self, rule, tmp_path, capsys):
+        cache = ingest_cache(capsys, tmp_path, SMALL_PA_ARGS)
+        rule_args = (["--rule", "r2", "--b-bar", "38"] if rule == "r2"
+                     else RULE_ARGS[rule])
+        code, out = run_detect(capsys, cache, ["--k", "40", "--mode", "everystep"]
+                               + rule_args)
+        assert code == 0 and "fired=True" in out
+        if rule != "r2":  # r2 may fire before the list is full
+            assert len(out.splitlines()) == 40 + 2
+        assert sha(out) == GOLDEN[f"k_eq_n_{rule}"]
