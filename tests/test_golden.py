@@ -12,6 +12,7 @@ import pytest
 
 import degreewalk as dw
 from degreewalk.cli import main
+from degreewalk.experiments import read_csv_body
 
 GOLDEN = {
     "generate_pa":
@@ -60,6 +61,16 @@ GOLDEN = {
         "b55932ae3c8b4c5292255e9bb39ef9ad69c716e585fc8571e9b467ac5d95d685",
     "k_eq_n_fixed":
         "c908e660c4028a272348dac6b93f72f0c1d625e880fbbe1edf0a9a33ee422777",
+    "experiment_hitting":
+        "1d2588539e37298e2b2dd1d228a9fa366834c270072140795879e6fdadeacba8",
+    "experiment_accuracy_thinned":
+        "791d926539b11d9121085eb4bd8e1e4026c23384adfc738b01976c57f34ec8c2",
+    "experiment_stopping_r2":
+        "cc5c796cb4fb8aa59f02b5956df6962422c4e5b2e13fbae3aedb464d392b59e2",
+    "isolated_r2_everystep":
+        "402100e86f2479c83d7d77ba71e4790c9dd0ab5c193495e8147ff9a1fcaefe3f",
+    "isolated_fixed_thinned":
+        "7c28f150011408a6d6221ba1abb013aee34fbbed3c2282b5c327a33bb8383919",
 }
 
 PA_ARGS = ["generate", "pa", "--n", "2000", "--seed", "7"]
@@ -180,3 +191,45 @@ class TestGoldenDetect:
         if rule != "r2":  # r2 may fire before the list is full
             assert len(out.splitlines()) == 40 + 2
         assert sha(out) == GOLDEN[f"k_eq_n_{rule}"]
+
+
+ISOLATED_ARGS = {
+    "r2_everystep": ["--rule", "r2", "--b-bar", "2", "--mode", "everystep"],
+    "fixed_thinned": ["--rule", "fixed", "--m", "50", "--mode", "thinned",
+                      "--transient", "20"],
+}
+
+# hitting: low alpha and a short --max-steps, so 11 of 30 trials time out and
+# one hits on the last allowed step; accuracy: a thinning transient that ends
+# inside the second 4096-step move block
+EXPERIMENT_ARGS = {
+    "hitting": ["hitting", "--runs", "30", "--alpha", "0.5", "--max-steps", "150"],
+    "accuracy_thinned": ["accuracy", "--runs", "8", "--k", "10", "--alpha", "2",
+                         "--mode", "thinned", "--transient", "4500", "--q", "0.3",
+                         "--m-grid", "0,100,1000,3000"],
+    "stopping_r2": ["stopping", "--runs", "12", "--k", "10", "--alpha", "2",
+                    "--rule", "r2", "--b-bar", "7"],
+}
+
+
+class TestGoldenExperimentsAndIsolated:
+    """The experiment CSV bodies on the n=2000 cache and detect on a graph
+    whose every node is isolated (alpha > 0, so every step is a jump)."""
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENT_ARGS))
+    def test_experiment_csv_body(self, name, tmp_path, capsys):
+        cache = ingest_cache(capsys, tmp_path, PA_ARGS)
+        out = tmp_path / f"{name}.csv"
+        what, *rest = EXPERIMENT_ARGS[name]
+        capsys.readouterr()
+        assert main(["experiment", what, str(cache), "--seed", "5",
+                     "--out", str(out)] + rest) == 0
+        assert sha(read_csv_body(out)) == GOLDEN[f"experiment_{name}"]
+
+    @pytest.mark.parametrize("name", sorted(ISOLATED_ARGS))
+    def test_detect_all_isolated(self, name, tmp_path, capsys):
+        cache = tmp_path / "isolated.npz"
+        dw.Graph.from_edges(np.empty((0, 2), dtype=np.int64), n=6).save_npz(cache)
+        code, out = run_detect(capsys, cache, ["--k", "3"] + ISOLATED_ARGS[name])
+        assert code == 0 and "fired=True" in out
+        assert sha(out) == GOLDEN[f"isolated_{name}"]
