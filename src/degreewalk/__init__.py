@@ -17,7 +17,7 @@ from .generators import (ConfigModelConfig, PAConfig, ParetoTail,
                          pair_stubs, sample_degrees)
 from .graph import (DegreeRecord, EdgeListParseError, Graph, degree,
                     exact_top_k, ingest_edge_list, load_edge_list)
-from .walk import (EveryStep, Sample, Thinned, WalkConfig, WalkState,
-                   WalkStuckError, sample_stream, step, walk_until_hit)
+from .walk import (EveryStep, Sample, Thinned, WalkConfig, WalkStuckError,
+                   sample_stream, walk_until_hit)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

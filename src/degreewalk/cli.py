@@ -38,7 +38,8 @@ class _Parser(argparse.ArgumentParser):
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--threads", type=int, default=1,
-                   help="experiment trial concurrency")
+                   help="accepted for compatibility; has no effect "
+                        "(trials run serially)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -201,7 +202,7 @@ def _cmd_experiment(args) -> int:
     if args.what == "hitting":
         plan = experiments.HittingTimePlan(walk=cfg, runs=args.runs,
                                            master_seed=args.seed)
-        rows, summary = experiments.run_hitting_time(g, plan, threads=args.threads)
+        rows, summary = experiments.run_hitting_time(g, plan)
         header = ["trial", "steps"]
     elif args.what == "accuracy":
         if args.m_grid is None:
@@ -209,7 +210,7 @@ def _cmd_experiment(args) -> int:
         grid = tuple(int(x) for x in args.m_grid.split(","))
         plan = experiments.AccuracyCurvePlan(walk=cfg, k=args.k, m_grid=grid,
                                              runs=args.runs, master_seed=args.seed)
-        rows, summary = experiments.run_accuracy_curve(g, plan, threads=args.threads)
+        rows, summary = experiments.run_accuracy_curve(g, plan)
         header = ["m", "mean_correct", "ci95", "exact", "poisson"]
     else:
         if args.rule is None:
@@ -221,7 +222,7 @@ def _cmd_experiment(args) -> int:
         plan = experiments.StoppingEvalPlan(walk=cfg, k=args.k, rule=args.rule,
                                             threshold=threshold, runs=args.runs,
                                             master_seed=args.seed)
-        rows, summary = experiments.run_stopping_eval(g, plan, threads=args.threads)
+        rows, summary = experiments.run_stopping_eval(g, plan)
         header = ["trial", "raw_steps", "samples", "correct_count",
                   "full_list_correct", "fired"]
     if args.out:

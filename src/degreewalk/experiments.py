@@ -1,13 +1,12 @@
 """Seeded experiment harness: hitting-time trials, accuracy-vs-m curves,
 and stopping-rule evaluations, all reproducible bit-for-bit from a master
 seed. Each trial's randomness is a pure function of (master_seed, trial),
-so execution order (or a thread pool) cannot change any row.
+and trials run one after another in trial order.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from .analytics import expected_correct_count, stationary
 from .detector import detect_with_rule
 from .graph import Graph, exact_top_k
-from .walk import WalkConfig, _kept_iter, _stream_rngs, _Tables, _walk_to_target
+from .walk import WalkConfig, _stream_rngs, _Tables, _walk
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,8 @@ class AccuracyCurvePlan:
         grid = tuple(self.m_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"m_grid must be strictly increasing, got {grid}")
+        if grid[0] < 0:
+            raise ValueError(f"m_grid entries must be >= 0, got {grid}")
         object.__setattr__(self, "m_grid", grid)
 
 
@@ -68,17 +69,9 @@ def _trial_seed(master_seed: int, trial: int) -> tuple[int, int]:
     return (master_seed, trial)
 
 
-def _map_trials(fn, runs: int, threads: int = 1) -> list:
-    """Evaluate fn(trial) for trial in range(runs), rows ordered by trial."""
-    if threads <= 1:
-        return [fn(t) for t in range(runs)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(runs)))
-
-
 # -- hitting times ----------------------------------------------------------
 
-def run_hitting_time(g: Graph, plan: HittingTimePlan, threads: int = 1):
+def run_hitting_time(g: Graph, plan: HittingTimePlan):
     """Hitting times to the max-degree node from uniform starts.
 
     Returns (rows, summary): one (trial, steps) row per trial with the
@@ -92,10 +85,14 @@ def run_hitting_time(g: Graph, plan: HittingTimePlan, threads: int = 1):
     def one(trial: int):
         rng = np.random.default_rng(_trial_seed(plan.master_seed, trial))
         start = int(rng.integers(g.n))
-        steps = _walk_to_target(tables, rng, start, target, max_steps)
-        return (trial, steps if steps is not None else "timeout")
+        if start == target:
+            return (trial, 0)
+        for node, raw, _ in _walk(tables, rng, None, start, max_steps):
+            if node == target:
+                return (trial, raw)
+        return (trial, "timeout")
 
-    rows = _map_trials(one, plan.runs, threads)
+    rows = [one(t) for t in range(plan.runs)]
     done = np.array([s for _, s in rows if s != "timeout"], dtype=np.float64)
     summary = {
         "target": target,
@@ -109,7 +106,7 @@ def run_hitting_time(g: Graph, plan: HittingTimePlan, threads: int = 1):
 
 # -- accuracy curves --------------------------------------------------------
 
-def run_accuracy_curve(g: Graph, plan: AccuracyCurvePlan, threads: int = 1):
+def run_accuracy_curve(g: Graph, plan: AccuracyCurvePlan):
     """Mean correctly-detected top-k count at each sample budget m.
 
     A node counts as correct when it belongs to the true top-k (ties
@@ -142,8 +139,10 @@ def run_accuracy_curve(g: Graph, plan: AccuracyCurvePlan, threads: int = 1):
             if next_m is None:
                 return counts
         m = 0
-        for node, _raw in _kept_iter(tables, move_rng, keep_rng, start,
-                                     cfg.max_steps, cfg.mode):
+        for node, _raw, kept in _walk(tables, move_rng, keep_rng, start,
+                                      cfg.max_steps, cfg.mode):
+            if not kept:
+                continue
             m += 1
             if node in true_set:
                 seen.add(node)
@@ -157,7 +156,7 @@ def run_accuracy_curve(g: Graph, plan: AccuracyCurvePlan, threads: int = 1):
             counts.append(len(seen))
         return counts
 
-    per_trial = np.array(_map_trials(one, plan.runs, threads), dtype=np.float64)
+    per_trial = np.array([one(t) for t in range(plan.runs)], dtype=np.float64)
     rows = []
     for j, m in enumerate(grid):
         vals = per_trial[:, j]
@@ -172,7 +171,7 @@ def run_accuracy_curve(g: Graph, plan: AccuracyCurvePlan, threads: int = 1):
 
 # -- stopping-rule evaluation ------------------------------------------------
 
-def run_stopping_eval(g: Graph, plan: StoppingEvalPlan, threads: int = 1):
+def run_stopping_eval(g: Graph, plan: StoppingEvalPlan):
     """Accuracy and cost of a stopping rule over seeded trials.
 
     Rows: (trial, raw_steps, samples, correct_count, full_list_correct,
@@ -191,7 +190,7 @@ def run_stopping_eval(g: Graph, plan: StoppingEvalPlan, threads: int = 1):
         return (trial, dec.raw_steps, dec.fired_at_samples, correct, full,
                 int(dec.fired))
 
-    rows = _map_trials(one, plan.runs, threads)
+    rows = [one(t) for t in range(plan.runs)]
     arr = np.array([(r[1], r[2], r[3], r[4], r[5]) for r in rows], dtype=np.float64)
     summary = {
         "runs": plan.runs,

@@ -64,66 +64,15 @@ class Sample(NamedTuple):
     step_index: int  # raw walk step at which the node was visited
 
 
-class WalkState:
-    """Mutable cursor of a single walk; confine each instance to one thread."""
-
-    __slots__ = ("current", "steps_taken", "jumps_taken", "rng", "_buf", "_pos")
-
-    def __init__(self, current: int, rng: np.random.Generator):
-        self.current = current
-        self.steps_taken = 0
-        self.jumps_taken = 0
-        self.rng = rng
-        self._buf: list[float] = []
-        self._pos = 0
-
-    @classmethod
-    def start(cls, g: Graph, cfg: WalkConfig, start: int | None = None) -> "WalkState":
-        """State at a fixed node, or at a uniform node when start is None."""
-        rng = np.random.default_rng(cfg.seed)
-        cur = int(rng.integers(g.n)) if start is None else start
-        if not 0 <= cur < g.n:
-            raise IndexError(f"start node {cur} out of range [0, {g.n})")
-        return cls(cur, rng)
-
-    def _uniform(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self.rng.random(_BLOCK).tolist()
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
-
-
-def step(g: Graph, s: WalkState, alpha: float) -> int:
-    """Advance the walk one step and return the new current node."""
-    cur = s.current
-    d = int(g.degrees[cur])
-    if d == 0 and alpha == 0.0:
-        raise WalkStuckError("stuck: zero degree, zero jump rate")
-    p_jump = alpha / (d + alpha)
-    r = s._uniform()
-    if r < p_jump:
-        # reuse the branch uniform: r/p_jump is uniform given the jump
-        nxt = min(int(r / p_jump * g.n), g.n - 1)
-        s.jumps_taken += 1
-    else:
-        idx = min(int((r - p_jump) / (1.0 - p_jump) * d), d - 1)
-        nxt = int(g.neighbors[g.offsets[cur] + idx])
-    s.current = nxt
-    s.steps_taken += 1
-    return nxt
-
-
 class _Tables:
-    """Plain-list views of a graph for the hot walking loops."""
+    """Views of a graph for the hot walking loop."""
 
     __slots__ = ("n", "offsets", "neighbors", "p_jump")
 
     def __init__(self, g: Graph, alpha: float):
         self.n = g.n
-        self.offsets = g.offsets.tolist()
-        self.neighbors = g.neighbors.tolist()
+        self.offsets = memoryview(g.offsets)
+        self.neighbors = memoryview(g.neighbors)
         denom = g.degrees + alpha
         # sentinel -1 marks zero-degree nodes with alpha == 0 (walk is stuck)
         p = np.full(g.n, -1.0)
@@ -132,91 +81,45 @@ class _Tables:
         self.p_jump = p.tolist()
 
 
-def _walk_to_target(t: _Tables, rng: np.random.Generator, start: int,
-                    target: int, max_steps: int) -> int | None:
-    """Steps until the first visit to target, or None on timeout."""
-    if start == target:
-        return 0
-    cur = start
-    steps = 0
-    n = t.n
-    offsets, neighbors, p_jump = t.offsets, t.neighbors, t.p_jump
-    while steps < max_steps:
-        block = rng.random(min(_BLOCK, max_steps - steps)).tolist()
-        for r in block:
-            pj = p_jump[cur]
-            if r < pj:
-                cur = min(int(r / pj * n), n - 1)
-            else:
-                if pj < 0.0:
-                    raise WalkStuckError("stuck: zero degree, zero jump rate")
-                lo = offsets[cur]
-                d = offsets[cur + 1] - lo
-                cur = neighbors[lo + min(int((r - pj) / (1.0 - pj) * d), d - 1)]
-            steps += 1
-            if cur == target:
-                return steps
-    return None
+def _walk(t: _Tables, move_rng: np.random.Generator,
+          keep_rng: np.random.Generator | None, start: int, max_steps: int,
+          mode: Mode = EveryStep()) -> Iterator[tuple[int, int, bool]]:
+    """Every step of the walk as (node, raw_step, kept), 1-based steps.
 
-
-def _visit_iter(t: _Tables, rng: np.random.Generator, start: int,
-                max_steps: int) -> Iterator[tuple[int, int]]:
-    """Yield (node, raw_step) for every step of the walk, 1-based steps."""
-    cur = start
-    steps = 0
-    n = t.n
-    offsets, neighbors, p_jump = t.offsets, t.neighbors, t.p_jump
-    while steps < max_steps:
-        block = rng.random(min(_BLOCK, max_steps - steps)).tolist()
-        for r in block:
-            pj = p_jump[cur]
-            if r < pj:
-                cur = min(int(r / pj * n), n - 1)
-            else:
-                if pj < 0.0:
-                    raise WalkStuckError("stuck: zero degree, zero jump rate")
-                lo = offsets[cur]
-                d = offsets[cur + 1] - lo
-                cur = neighbors[lo + min(int((r - pj) / (1.0 - pj) * d), d - 1)]
-            steps += 1
-            yield cur, steps
-
-
-def _visit_kept_iter(t: _Tables, move_rng: np.random.Generator,
-                     keep_rng: np.random.Generator, start: int,
-                     max_steps: int, mode: Mode) -> Iterator[tuple[int, int, bool]]:
-    """Every visit as (node, raw_step, kept); kept marks sampling survivors.
-
-    Thinning uniforms come from their own stream, so Thinned(q=1,
-    transient=0) keeps exactly the EveryStep visit sequence.
+    kept marks the visits that survive the sampling mode: all of them under
+    EveryStep, and under Thinned those past the transient whose keep
+    uniform, drawn from keep_rng, is below q. Thinning uniforms come from
+    their own stream, so Thinned(q=1, transient=0) keeps exactly the
+    EveryStep visit sequence. Move uniforms are drawn in blocks of
+    min(_BLOCK, steps left), so walks that share one move_rng draw the same
+    sequence however early each of them is abandoned.
     """
-    visits = _visit_iter(t, move_rng, start, max_steps)
-    if isinstance(mode, EveryStep):
-        for node, raw in visits:
-            yield node, raw, True
-        return
-    keep: list[float] = []
-    pos = 0
-    for node, raw in visits:
-        if raw <= mode.transient:
-            yield node, raw, False
-            continue
-        if pos >= len(keep):
-            keep = keep_rng.random(_BLOCK).tolist()
-            pos = 0
-        u = keep[pos]
-        pos += 1
-        yield node, raw, u < mode.q
-
-
-def _kept_iter(t: _Tables, move_rng: np.random.Generator,
-               keep_rng: np.random.Generator, start: int,
-               max_steps: int, mode: Mode) -> Iterator[tuple[int, int]]:
-    """Visits surviving the sampling mode, as (node, raw_step)."""
-    for node, raw, kept in _visit_kept_iter(t, move_rng, keep_rng, start,
-                                            max_steps, mode):
-        if kept:
-            yield node, raw
+    cur = start
+    steps = 0
+    n = t.n
+    offsets, neighbors, p_jump = t.offsets, t.neighbors, t.p_jump
+    thinned = isinstance(mode, Thinned)
+    while steps < max_steps:
+        count = min(_BLOCK, max_steps - steps)
+        block = move_rng.random(count).tolist()
+        if thinned:
+            skip = min(count, max(0, mode.transient - steps))
+            keep = [False] * skip + (keep_rng.random(count - skip) < mode.q).tolist()
+        else:
+            keep = [True] * count
+        for r, kept in zip(block, keep):
+            pj = p_jump[cur]
+            if r < pj:
+                # reuse the branch uniform: r/pj is uniform given the jump
+                cur = min(int(r / pj * n), n - 1)
+            else:
+                if pj < 0.0:
+                    raise WalkStuckError("stuck: zero degree, zero jump rate")
+                lo = offsets[cur]
+                d = offsets[cur + 1] - lo
+                cur = neighbors[lo + min(int((r - pj) / (1.0 - pj) * d), d - 1)]
+            steps += 1
+            yield cur, steps, kept
 
 
 def walk_until_hit(g: Graph, cfg: WalkConfig, start: int | None,
@@ -233,7 +136,13 @@ def walk_until_hit(g: Graph, cfg: WalkConfig, start: int | None,
     s0 = int(rng.integers(g.n)) if start is None else start
     if not 0 <= s0 < g.n:
         raise IndexError(f"start node {s0} out of range [0, {g.n})")
-    return _walk_to_target(_Tables(g, cfg.alpha), rng, s0, target, cfg.max_steps)
+    tables = _Tables(g, cfg.alpha)  # built first: start == target times set-up alone
+    if s0 == target:
+        return 0
+    for node, raw, _ in _walk(tables, rng, None, s0, cfg.max_steps):
+        if node == target:
+            return raw
+    return None
 
 
 def _stream_rngs(seed) -> tuple[np.random.Generator, np.random.Generator,
@@ -256,7 +165,7 @@ def sample_stream(g: Graph, cfg: WalkConfig, start: int | None = None) -> Iterat
     s0 = int(start_rng.integers(g.n)) if start is None else start
     if not 0 <= s0 < g.n:
         raise IndexError(f"start node {s0} out of range [0, {g.n})")
-    tables = _Tables(g, cfg.alpha)
-    for node, raw in _kept_iter(tables, move_rng, keep_rng, s0,
-                                cfg.max_steps, cfg.mode):
-        yield Sample(node, raw)
+    for node, raw, kept in _walk(_Tables(g, cfg.alpha), move_rng, keep_rng, s0,
+                                 cfg.max_steps, cfg.mode):
+        if kept:
+            yield Sample(node, raw)

@@ -9,7 +9,7 @@ import numpy as np
 from degreewalk import Graph
 from degreewalk.detector import (rule1_threshold, stopping_rule_0,
                                  stopping_rule_1, stopping_rule_2)
-from degreewalk.walk import EveryStep, sample_stream
+from degreewalk.walk import EveryStep, _Tables, _walk, sample_stream
 
 
 def check_graph_invariants(g: Graph) -> None:
@@ -82,6 +82,23 @@ def random_connected_graph(n: int, avg_degree: float, seed: int) -> Graph:
         if is_connected(g):
             return g
     raise RuntimeError(f"could not build a connected graph with n={n}")
+
+
+def shared_rng_hitting_times(g: Graph, alpha: float, target: int,
+                             rng: np.random.Generator, runs: int) -> np.ndarray:
+    """Hitting times of `runs` walks that draw their uniform starts and
+    their moves from one generator, one walk after another."""
+    tables = _Tables(g, alpha)
+    times = []
+    for _ in range(runs):
+        start = int(rng.integers(g.n))
+        steps = 0
+        if start != target:
+            for node, steps, _ in _walk(tables, rng, None, start, 10 ** 7):
+                if node == target:
+                    break
+        times.append(steps)
+    return np.array(times, dtype=np.float64)
 
 
 def star_graph(n: int) -> Graph:

@@ -24,10 +24,10 @@ from degreewalk.experiments import (AccuracyCurvePlan, HittingTimePlan,
                                     StoppingEvalPlan, read_csv_body,
                                     run_accuracy_curve, run_hitting_time,
                                     run_stopping_eval, write_csv)
-from degreewalk.walk import (EveryStep, Thinned, WalkConfig, _Tables,
-                             _walk_to_target, sample_stream)
+from degreewalk.walk import EveryStep, Thinned, WalkConfig, sample_stream
 
-from helpers import random_connected_graph, star_graph
+from helpers import (random_connected_graph, shared_rng_hitting_times,
+                     star_graph)
 
 PA_TAIL = dw.ParetoTail(gamma=2.5, c=3.7, x_prime=3.7 ** 0.4)
 UK_TAIL = dw.ParetoTail(gamma=1.7, c=90.0, x_prime=90.0 ** (1 / 1.7))
@@ -76,11 +76,8 @@ def test_ac3_hitting_time_oracle_agreement():
         alpha = 0.5 if i % 2 == 0 else g.average_degree()
         target = dw.exact_top_k(g, 1)[0].node
         exact = hitting_time_exact(g, alpha, target)
-        rng = np.random.default_rng((55, i))
-        tables = _Tables(g, alpha)
-        times = np.array([
-            _walk_to_target(tables, rng, int(rng.integers(g.n)), target, 10 ** 7)
-            for _ in range(10_000)], dtype=np.float64)
+        times = shared_rng_hitting_times(g, alpha, target,
+                                         np.random.default_rng((55, i)), 10_000)
         se = times.std(ddof=1) / np.sqrt(len(times))
         z = abs(times.mean() - exact) / se
         worst_z = max(worst_z, z)

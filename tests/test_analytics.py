@@ -11,9 +11,9 @@ from degreewalk.analytics import (UnreachableTargetError, evt_predict,
                                   jump_probability, poisson_error_bound,
                                   return_time_from_constants, stationary,
                                   transition_matrix)
-from degreewalk.walk import WalkConfig, _Tables, _walk_to_target
 
-from helpers import random_connected_graph, star_graph
+from helpers import (random_connected_graph, shared_rng_hitting_times,
+                     star_graph)
 
 PA_TAIL = dw.ParetoTail(gamma=2.5, c=3.7, x_prime=3.7 ** 0.4)
 
@@ -98,11 +98,8 @@ class TestHittingTimeExact:
         alpha = 1.0
         target = dw.exact_top_k(g, 1)[0].node
         exact = hitting_time_exact(g, alpha, target)
-        rng = np.random.default_rng(99)
-        tables = _Tables(g, alpha)
-        times = np.array([
-            _walk_to_target(tables, rng, int(rng.integers(g.n)), target, 10 ** 7)
-            for _ in range(100_000)], dtype=np.float64)
+        times = shared_rng_hitting_times(g, alpha, target,
+                                         np.random.default_rng(99), 100_000)
         se = times.std(ddof=1) / np.sqrt(len(times))
         assert abs(times.mean() - exact) <= 3 * se
 

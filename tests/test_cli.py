@@ -3,6 +3,7 @@ import pytest
 
 import degreewalk as dw
 from degreewalk.cli import build_parser, main
+from degreewalk.experiments import read_csv_body
 
 
 @pytest.fixture
@@ -221,6 +222,16 @@ class TestExperimentCommand:
         assert body[1] == "trial,steps"
         assert len([l for l in body if not l.startswith("#")]) == 51
         assert "mean=" in capsys.readouterr().out
+
+    def test_threads_flag_does_not_change_rows(self, star_file, tmp_path, capsys):
+        bodies = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"hits{threads}.csv"
+            assert main(["experiment", "hitting", star_file, "--runs", "32",
+                         "--alpha", "1", "--seed", "9", "--max-steps", "1000",
+                         "--threads", threads, "--out", str(out)]) == 0
+            bodies.append(read_csv_body(out))
+        assert bodies[0] == bodies[1]
 
     def test_accuracy_requires_grid(self, star_file, capsys):
         assert main(["experiment", "accuracy", star_file, "--runs", "5"]) == 1

@@ -38,13 +38,6 @@ class TestHittingTrials:
         rows9, _ = run_hitting_time(star4, mk(9))
         assert rows9[:5] == rows5
 
-    def test_threads_do_not_change_rows(self, star4):
-        plan = HittingTimePlan(walk=WalkConfig(alpha=1.0, seed=0, max_steps=1000),
-                               runs=32, master_seed=9)
-        a, _ = run_hitting_time(star4, plan, threads=1)
-        b, _ = run_hitting_time(star4, plan, threads=4)
-        assert a == b
-
 
 class TestAccuracyCurve:
     def test_zero_budget_point(self, star4):
@@ -93,6 +86,12 @@ class TestAccuracyCurve:
         plan = AccuracyCurvePlan(walk=cfg, k=9, m_grid=(1,), runs=1)
         with pytest.raises(ValueError):
             run_accuracy_curve(star4, plan)
+
+    def test_negative_budget_rejected_at_plan(self):
+        # rejected before any trial walks, not after every trial ran out
+        cfg = WalkConfig(alpha=1.0, seed=0, max_steps=200_000)
+        with pytest.raises(ValueError, match="m_grid entries must be >= 0"):
+            AccuracyCurvePlan(walk=cfg, k=1, m_grid=(-3, 5), runs=2)
 
 
 class TestStoppingEval:

@@ -3,29 +3,41 @@ import pytest
 
 import degreewalk as dw
 from degreewalk.analytics import transition_matrix
-from degreewalk.walk import (EveryStep, Thinned, WalkConfig, WalkState,
-                             WalkStuckError, sample_stream, step,
-                             walk_until_hit)
+from degreewalk.walk import (EveryStep, Thinned, WalkConfig, WalkStuckError,
+                             sample_stream, walk_until_hit)
 
 from helpers import random_connected_graph
 
 
 class TestStep:
     def test_star_leaf_always_moves_to_center(self, star4):
-        st = WalkState.start(star4, WalkConfig(alpha=0.0, seed=1), start=1)
-        for _ in range(25):
-            st.current = 1
-            assert step(star4, st, 0.0) == 0
+        # at alpha=0 the walk alternates leaf, center, leaf, ...: 25 steps
+        # leave a leaf, and each of them lands on the center
+        cfg = WalkConfig(alpha=0.0, seed=1, max_steps=50)
+        prev, left_leaf = 1, 0
+        for s in sample_stream(star4, cfg, start=1):
+            if prev != 0:
+                assert s.node == 0
+                left_leaf += 1
+            prev = s.node
+        assert left_leaf == 25
+        assert walk_until_hit(star4, cfg, 1, 0) == 1
 
     def test_jump_branch_frequency(self, star4):
-        # from the center with alpha=1 the jump branch has probability
-        # 1/(3+1) = 0.25
-        st = WalkState.start(star4, WalkConfig(alpha=1.0, seed=3), start=0)
-        n = 1_000_000
-        for _ in range(n):
-            st.current = 0
-            step(star4, st, 1.0)
-        assert abs(st.jumps_taken / n - 0.25) <= 0.002
+        # a leaf-to-leaf move needs a jump: from a leaf with alpha=1 the jump
+        # branch has probability 1/(1+1) and lands on a leaf with 3/4, so the
+        # rate is 3/8. The tolerance is 4.6 standard errors over >= 1M leaf
+        # departures (a Bernoulli(1/4) test at 0.002 on 1M draws is 4.62).
+        cfg = WalkConfig(alpha=1.0, seed=3, max_steps=1_750_000)
+        nodes = np.fromiter((s.node for s in sample_stream(star4, cfg, start=0)),
+                            dtype=np.int64, count=cfg.max_steps)
+        prev = np.concatenate([[0], nodes[:-1]])
+        from_leaf = prev != 0
+        departures = int(from_leaf.sum())
+        assert departures >= 1_000_000
+        rate = int((from_leaf & (nodes != 0)).sum()) / departures
+        se = np.sqrt(0.375 * 0.625 / departures)
+        assert abs(rate - 0.375) <= 4.6 * se
 
     def test_empirical_kernel_matches_formula(self, triangle):
         cfg = WalkConfig(alpha=3.0, seed=9, max_steps=1_000_001, mode=EveryStep())
@@ -42,18 +54,19 @@ class TestStep:
 
     def test_stuck_isolated_node(self):
         g = dw.Graph.from_edges(np.array([[0, 1]]), n=3)
-        st = WalkState.start(g, WalkConfig(alpha=0.0, seed=0), start=2)
+        stuck = WalkConfig(alpha=0.0, seed=0)
         with pytest.raises(WalkStuckError, match="zero degree, zero jump rate"):
-            step(g, st, 0.0)
+            next(sample_stream(g, stuck, start=2))
+        with pytest.raises(WalkStuckError, match="zero degree, zero jump rate"):
+            walk_until_hit(g, stuck, 2, 0)
         # with jumps the isolated node is no trap
-        st2 = WalkState.start(g, WalkConfig(alpha=1.0, seed=0), start=2)
-        assert 0 <= step(g, st2, 1.0) < 3
+        first = next(sample_stream(g, WalkConfig(alpha=1.0, seed=0), start=2))
+        assert 0 <= first.node < 3 and first.step_index == 1
 
     def test_counters_advance(self, star4):
-        st = WalkState.start(star4, WalkConfig(alpha=0.5, seed=4), start=0)
-        for i in range(10):
-            step(star4, st, 0.5)
-        assert st.steps_taken == 10
+        cfg = WalkConfig(alpha=0.5, seed=4, max_steps=10)
+        got = [s.step_index for s in sample_stream(star4, cfg, start=0)]
+        assert got == list(range(1, 11))
 
 
 class TestWalkUntilHit:
