@@ -55,10 +55,10 @@ def _walk_flags(p: argparse.ArgumentParser) -> None:
                    help="cap on raw walk steps")
 
 
-def _load_graph(path: str, symmetrize: bool = False) -> Graph:
+def _load_graph(path: str) -> Graph:
     if str(path).endswith(".npz"):
         return Graph.load_npz(path)
-    return load_edge_list(path, symmetrize=symmetrize)
+    return load_edge_list(path)
 
 
 def _resolve_alpha(args, g: Graph) -> float:
@@ -106,7 +106,7 @@ def _cmd_generate_cm(args) -> int:
 # -- ingest -------------------------------------------------------------------
 
 def _cmd_ingest(args) -> int:
-    g = _load_graph(args.graph, symmetrize=args.symmetrize)
+    g = _load_graph(args.graph)
     if args.cache:
         g.save_npz(args.cache)
     if args.out:
@@ -156,7 +156,10 @@ def _parse_nu(text: str, g: Graph):
     if text == "uniform":
         return None
     if text.startswith("node:"):
-        return int(text.split(":", 1)[1])
+        try:
+            return int(text.split(":", 1)[1])
+        except ValueError as exc:
+            raise UsageError(f"--nu node:<id> needs an integer id: {exc}") from None
     raise UsageError(f"--nu must be 'uniform' or 'node:<id>', got {text!r}")
 
 
@@ -207,7 +210,10 @@ def _cmd_experiment(args) -> int:
     elif args.what == "accuracy":
         if args.m_grid is None:
             raise UsageError("experiment accuracy requires --m-grid")
-        grid = tuple(int(x) for x in args.m_grid.split(","))
+        try:
+            grid = tuple(int(x) for x in args.m_grid.split(","))
+        except ValueError as exc:
+            raise UsageError(f"--m-grid must be comma-separated integers: {exc}") from None
         plan = experiments.AccuracyCurvePlan(walk=cfg, k=args.k, m_grid=grid,
                                              runs=args.runs, master_seed=args.seed)
         rows, summary = experiments.run_accuracy_curve(g, plan)
@@ -262,7 +268,8 @@ def build_parser() -> _Parser:
     ing = sub.add_parser("ingest", help="parse and summarize an edge list")
     ing.add_argument("graph")
     ing.add_argument("--symmetrize", action="store_true",
-                     help="treat lines as directed arcs and add reverses")
+                     help="accepted for compatibility; has no effect "
+                          "(the stored graph is always undirected)")
     ing.add_argument("--cache", default=None, help="write a binary .npz cache")
     _common_flags(ing)
     ing.set_defaults(func=_cmd_ingest)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .graph import Graph
-from .walk import WalkConfig, _stream_rngs, _Tables, _walk
+from .walk import WalkConfig, _visits
 
 
 class CandidateList:
@@ -179,11 +179,8 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
         return StopDecision(rule, threshold, True, 0, 0, lst)
     scored = lst._changes
     degrees = g.degrees
-    start_rng, move_rng, keep_rng = _stream_rngs(cfg.seed)
-    start = int(start_rng.integers(g.n))
     samples = 0
-    for node, raw, kept in _walk(_Tables(g, cfg.alpha), move_rng, keep_rng,
-                                 start, cfg.max_steps, cfg.mode):
+    for node, raw, kept in _visits(g, cfg):
         deg = int(degrees[node])
         if kept:
             samples += 1

@@ -14,7 +14,7 @@ import numpy as np
 from .analytics import expected_correct_count, stationary
 from .detector import detect_with_rule
 from .graph import Graph, exact_top_k
-from .walk import WalkConfig, _stream_rngs, _Tables, _walk
+from .walk import WalkConfig, sample_stream, walk_until_hit
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,6 @@ class StoppingEvalPlan:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
 
-def _trial_seed(master_seed: int, trial: int) -> tuple[int, int]:
-    return (master_seed, trial)
-
-
 # -- hitting times ----------------------------------------------------------
 
 def run_hitting_time(g: Graph, plan: HittingTimePlan):
@@ -79,20 +75,11 @@ def run_hitting_time(g: Graph, plan: HittingTimePlan):
     with mean/median over completed trials plus the timeout count.
     """
     target = exact_top_k(g, 1)[0].node
-    tables = _Tables(g, plan.walk.alpha)
-    max_steps = plan.walk.max_steps
-
-    def one(trial: int):
-        rng = np.random.default_rng(_trial_seed(plan.master_seed, trial))
-        start = int(rng.integers(g.n))
-        if start == target:
-            return (trial, 0)
-        for node, raw, _ in _walk(tables, rng, None, start, max_steps):
-            if node == target:
-                return (trial, raw)
-        return (trial, "timeout")
-
-    rows = [one(t) for t in range(plan.runs)]
+    rows = []
+    for trial in range(plan.runs):
+        cfg = replace(plan.walk, seed=(plan.master_seed, trial))
+        steps = walk_until_hit(g, cfg, None, target)
+        rows.append((trial, "timeout" if steps is None else steps))
     done = np.array([s for _, s in rows if s != "timeout"], dtype=np.float64)
     summary = {
         "target": target,
@@ -121,14 +108,10 @@ def run_accuracy_curve(g: Graph, plan: AccuracyCurvePlan):
     true_nodes = [r.node for r in exact_top_k(g, plan.k)]
     true_set = set(true_nodes)
     pis = stationary(g, plan.walk.alpha).probs[true_nodes]
-    tables = _Tables(g, plan.walk.alpha)
     grid = plan.m_grid
-    m_max = grid[-1]
 
     def one(trial: int):
-        cfg = replace(plan.walk, seed=_trial_seed(plan.master_seed, trial))
-        start_rng, move_rng, keep_rng = _stream_rngs(cfg.seed)
-        start = int(start_rng.integers(g.n))
+        cfg = replace(plan.walk, seed=(plan.master_seed, trial))
         seen: set[int] = set()
         counts = []
         gi = iter(grid)
@@ -138,14 +121,9 @@ def run_accuracy_curve(g: Graph, plan: AccuracyCurvePlan):
             next_m = next(gi, None)
             if next_m is None:
                 return counts
-        m = 0
-        for node, _raw, kept in _walk(tables, move_rng, keep_rng, start,
-                                      cfg.max_steps, cfg.mode):
-            if not kept:
-                continue
-            m += 1
-            if node in true_set:
-                seen.add(node)
+        for m, s in enumerate(sample_stream(g, cfg), start=1):
+            if s.node in true_set:
+                seen.add(s.node)
             while m == next_m:
                 counts.append(len(seen))
                 next_m = next(gi, None)
@@ -182,7 +160,7 @@ def run_stopping_eval(g: Graph, plan: StoppingEvalPlan):
     true_set = {r.node for r in exact_top_k(g, plan.k)}
 
     def one(trial: int):
-        cfg = replace(plan.walk, seed=_trial_seed(plan.master_seed, trial))
+        cfg = replace(plan.walk, seed=(plan.master_seed, trial))
         dec = detect_with_rule(g, cfg, plan.k, plan.rule, plan.threshold)
         members = dec.final_list.members()
         correct = len(members & true_set)

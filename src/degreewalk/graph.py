@@ -18,6 +18,7 @@ import numpy as np
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # largest n for which the CSR sort key u*n+v (at most n*n-1) fits in int64
 _MAX_NODES = math.isqrt(_INT64_MAX)
+_CACHE_MEMBERS = ("offsets", "neighbors", "original_ids")
 
 
 class EdgeListParseError(ValueError):
@@ -131,20 +132,42 @@ class Graph:
 
     @classmethod
     def load_npz(cls, path) -> "Graph":
+        """Read a cache written by save_npz (or np.savez_compressed).
+
+        The walk reads degrees from offsets, so the arrays must form a
+        valid CSR. ValueError names the member when one is missing, offsets
+        does not start at 0, decreases or does not end at len(neighbors), a
+        neighbor lies outside [0, n), or len(original_ids) != n. Symmetry
+        of the adjacency is not checked."""
         with np.load(path) as data:
-            return cls(data["offsets"], data["neighbors"], data["original_ids"])
+            missing = [m for m in _CACHE_MEMBERS if m not in data.files]
+            if missing:
+                raise ValueError(f"graph cache {path}: {missing[0]}: missing")
+            g = cls(*(data[m] for m in _CACHE_MEMBERS))
+        off, nbr = g.offsets, g.neighbors
+        if len(off) == 0 or off[0] != 0:
+            fault = "offsets: must start with 0"
+        elif np.any(off[1:] < off[:-1]):
+            fault = "offsets: decreases"
+        elif off[-1] != len(nbr):
+            fault = f"offsets: ends at {off[-1]}, not len(neighbors) = {len(nbr)}"
+        elif len(nbr) and not (0 <= nbr.min() and nbr.max() < g.n):
+            fault = f"neighbors: an id lies outside [0, {g.n})"
+        elif len(g.original_ids) != g.n:
+            fault = f"original_ids: length {len(g.original_ids)}, not n = {g.n}"
+        else:
+            return g
+        raise ValueError(f"graph cache {path}: {fault}")
 
 
-def ingest_edge_list(lines: Iterable[str], symmetrize: bool = False) -> Graph:
+def ingest_edge_list(lines: Iterable[str]) -> Graph:
     """Parse an edge-list text stream into a Graph.
 
     One edge per line as two whitespace-separated non-negative integers
     that fit in int64; lines starting with '#' are comments. Input ids may
     be sparse; they are remapped densely and retained in
     Graph.original_ids. The stored graph is always undirected and simple,
-    so `symmetrize` (treat lines as directed arcs and add reverses) does
-    not change the result; the flag is accepted for CLI compatibility with
-    directed sources.
+    so a line and its reverse are the same edge.
 
     Raises:
         EdgeListParseError: malformed line (with its line number).
@@ -226,7 +249,7 @@ def _parse_edges_fast(data: bytes) -> np.ndarray | None:
     return edges
 
 
-def load_edge_list(path, symmetrize: bool = False) -> Graph:
+def load_edge_list(path) -> Graph:
     """Read an edge-list file; the format is that of `ingest_edge_list`.
 
     Well-formed files, whole-line '#' comments included, take one vectorized
@@ -237,31 +260,20 @@ def load_edge_list(path, symmetrize: bool = False) -> Graph:
     if edges is not None:
         return _graph_from_raw_edges(edges)
     with open(path, "r", encoding="utf-8") as fh:
-        return ingest_edge_list(fh, symmetrize=symmetrize)
+        return ingest_edge_list(fh)
 
 
-def exact_top_k(g: Graph, k: int, method: str = "select") -> list[DegreeRecord]:
-    """Deterministic top-k nodes by degree, ties broken by ascending id.
-
-    `method="select"` uses a size-k partial selection; `method="sort"`
-    sorts the full degree array (kept for benchmark comparisons).
-    """
+def exact_top_k(g: Graph, k: int) -> list[DegreeRecord]:
+    """Deterministic top-k nodes by degree, ties broken by ascending id,
+    from a size-k partial selection."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > g.n:
         raise ValueError(f"k={k} exceeds node count n={g.n}")
     # composite key: larger degree first, then smaller id; strictly ordered
     key = g.degrees.astype(np.int64) * np.int64(g.n) - np.arange(g.n, dtype=np.int64)
-    if method == "select":
-        if k < g.n:
-            cand = np.argpartition(-key, k - 1)[:k]
-        else:
-            cand = np.arange(g.n)
-        top = cand[np.argsort(-key[cand], kind="stable")]
-    elif method == "sort":
-        top = np.argsort(-key, kind="stable")[:k]
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    cand = np.argpartition(-key, k - 1)[:k] if k < g.n else np.arange(g.n)
+    top = cand[np.argsort(-key[cand], kind="stable")]
     return [DegreeRecord(int(i), int(g.degrees[i])) for i in top]
 
 

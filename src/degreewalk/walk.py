@@ -64,28 +64,13 @@ class Sample(NamedTuple):
     step_index: int  # raw walk step at which the node was visited
 
 
-class _Tables:
-    """Views of a graph for the hot walking loop."""
-
-    __slots__ = ("n", "offsets", "neighbors", "p_jump")
-
-    def __init__(self, g: Graph, alpha: float):
-        self.n = g.n
-        self.offsets = memoryview(g.offsets)
-        self.neighbors = memoryview(g.neighbors)
-        denom = g.degrees + alpha
-        # sentinel -1 marks zero-degree nodes with alpha == 0 (walk is stuck)
-        p = np.full(g.n, -1.0)
-        ok = denom > 0.0
-        p[ok] = alpha / denom[ok]
-        self.p_jump = p.tolist()
-
-
-def _walk(t: _Tables, move_rng: np.random.Generator,
+def _walk(g: Graph, alpha: float, move_rng: np.random.Generator,
           keep_rng: np.random.Generator | None, start: int, max_steps: int,
           mode: Mode = EveryStep()) -> Iterator[tuple[int, int, bool]]:
     """Every step of the walk as (node, raw_step, kept), 1-based steps.
 
+    Each step reads the degree d from g.offsets and jumps with probability
+    alpha/(d + alpha), the float that numpy's alpha/(degrees + alpha) gives.
     kept marks the visits that survive the sampling mode: all of them under
     EveryStep, and under Thinned those past the transient whose keep
     uniform, drawn from keep_rng, is below q. Thinning uniforms come from
@@ -96,8 +81,9 @@ def _walk(t: _Tables, move_rng: np.random.Generator,
     """
     cur = start
     steps = 0
-    n = t.n
-    offsets, neighbors, p_jump = t.offsets, t.neighbors, t.p_jump
+    n = g.n
+    alpha = float(alpha)  # a Python float: a zero denominator raises
+    offsets, neighbors = memoryview(g.offsets), memoryview(g.neighbors)
     thinned = isinstance(mode, Thinned)
     while steps < max_steps:
         count = min(_BLOCK, max_steps - steps)
@@ -108,15 +94,16 @@ def _walk(t: _Tables, move_rng: np.random.Generator,
         else:
             keep = [True] * count
         for r, kept in zip(block, keep):
-            pj = p_jump[cur]
+            lo = offsets[cur]
+            d = offsets[cur + 1] - lo
+            try:
+                pj = alpha / (d + alpha)
+            except ZeroDivisionError:
+                raise WalkStuckError("stuck: zero degree, zero jump rate") from None
             if r < pj:
                 # reuse the branch uniform: r/pj is uniform given the jump
                 cur = min(int(r / pj * n), n - 1)
             else:
-                if pj < 0.0:
-                    raise WalkStuckError("stuck: zero degree, zero jump rate")
-                lo = offsets[cur]
-                d = offsets[cur + 1] - lo
                 cur = neighbors[lo + min(int((r - pj) / (1.0 - pj) * d), d - 1)]
             steps += 1
             yield cur, steps, kept
@@ -136,22 +123,25 @@ def walk_until_hit(g: Graph, cfg: WalkConfig, start: int | None,
     s0 = int(rng.integers(g.n)) if start is None else start
     if not 0 <= s0 < g.n:
         raise IndexError(f"start node {s0} out of range [0, {g.n})")
-    tables = _Tables(g, cfg.alpha)  # built first: start == target times set-up alone
     if s0 == target:
         return 0
-    for node, raw, _ in _walk(tables, rng, None, s0, cfg.max_steps):
+    for node, raw, _ in _walk(g, cfg.alpha, rng, None, s0, cfg.max_steps):
         if node == target:
             return raw
     return None
 
 
-def _stream_rngs(seed) -> tuple[np.random.Generator, np.random.Generator,
-                                np.random.Generator]:
-    """Independent (start, move, keep) generators derived from one seed."""
-    ss = np.random.SeedSequence(seed)
-    start_ss, move_ss, keep_ss = ss.spawn(3)
-    return (np.random.default_rng(start_ss), np.random.default_rng(move_ss),
-            np.random.default_rng(keep_ss))
+def _visits(g: Graph, cfg: WalkConfig,
+            start: int | None = None) -> Iterator[tuple[int, int, bool]]:
+    """The _walk steps of cfg: start, move and keep generators are spawned
+    from cfg.seed, and start=None draws the initial node uniformly."""
+    start_ss, move_ss, keep_ss = np.random.SeedSequence(cfg.seed).spawn(3)
+    if start is None:
+        start = int(np.random.default_rng(start_ss).integers(g.n))
+    if not 0 <= start < g.n:
+        raise IndexError(f"start node {start} out of range [0, {g.n})")
+    return _walk(g, cfg.alpha, np.random.default_rng(move_ss),
+                 np.random.default_rng(keep_ss), start, cfg.max_steps, cfg.mode)
 
 
 def sample_stream(g: Graph, cfg: WalkConfig, start: int | None = None) -> Iterator[Sample]:
@@ -161,11 +151,6 @@ def sample_stream(g: Graph, cfg: WalkConfig, start: int | None = None) -> Iterat
     keeps each visit independently with probability q. At most
     cfg.max_steps raw steps are walked either way.
     """
-    start_rng, move_rng, keep_rng = _stream_rngs(cfg.seed)
-    s0 = int(start_rng.integers(g.n)) if start is None else start
-    if not 0 <= s0 < g.n:
-        raise IndexError(f"start node {s0} out of range [0, {g.n})")
-    for node, raw, kept in _walk(_Tables(g, cfg.alpha), move_rng, keep_rng, s0,
-                                 cfg.max_steps, cfg.mode):
+    for node, raw, kept in _visits(g, cfg, start):
         if kept:
             yield Sample(node, raw)

@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from degreewalk import Graph
+from degreewalk import DegreeRecord, Graph
 from degreewalk.detector import (rule1_threshold, stopping_rule_0,
                                  stopping_rule_1, stopping_rule_2)
-from degreewalk.walk import EveryStep, _Tables, _walk, sample_stream
+from degreewalk.walk import (EveryStep, Thinned, WalkStuckError, _walk,
+                             sample_stream)
 
 
 def check_graph_invariants(g: Graph) -> None:
@@ -88,17 +89,109 @@ def shared_rng_hitting_times(g: Graph, alpha: float, target: int,
                              rng: np.random.Generator, runs: int) -> np.ndarray:
     """Hitting times of `runs` walks that draw their uniform starts and
     their moves from one generator, one walk after another."""
-    tables = _Tables(g, alpha)
     times = []
     for _ in range(runs):
         start = int(rng.integers(g.n))
         steps = 0
         if start != target:
-            for node, steps, _ in _walk(tables, rng, None, start, 10 ** 7):
+            for node, steps, _ in _walk(g, alpha, rng, None, start, 10 ** 7):
                 if node == target:
                     break
         times.append(steps)
     return np.array(times, dtype=np.float64)
+
+
+class _TablesReference:
+    """The per-graph jump table that walk._walk used to build: p_jump[i] =
+    alpha/(d_i + alpha) from numpy, with -1 marking a stuck node."""
+
+    def __init__(self, g: Graph, alpha: float):
+        self.n = g.n
+        self.offsets = memoryview(g.offsets)
+        self.neighbors = memoryview(g.neighbors)
+        denom = g.degrees + alpha
+        p = np.full(g.n, -1.0)
+        ok = denom > 0.0
+        p[ok] = alpha / denom[ok]
+        self.p_jump = p.tolist()
+
+
+def walk_reference(g: Graph, alpha: float, move_rng, keep_rng, start: int,
+                   max_steps: int, mode=EveryStep()):
+    """Oracle for walk._walk: the table-driven kernel it replaced, yielding
+    (node, raw_step, kept) per step."""
+    t = _TablesReference(g, alpha)
+    cur = start
+    steps = 0
+    n = t.n
+    offsets, neighbors, p_jump = t.offsets, t.neighbors, t.p_jump
+    thinned = isinstance(mode, Thinned)
+    while steps < max_steps:
+        count = min(4096, max_steps - steps)
+        block = move_rng.random(count).tolist()
+        if thinned:
+            skip = min(count, max(0, mode.transient - steps))
+            keep = [False] * skip + (keep_rng.random(count - skip) < mode.q).tolist()
+        else:
+            keep = [True] * count
+        for r, kept in zip(block, keep):
+            pj = p_jump[cur]
+            if r < pj:
+                cur = min(int(r / pj * n), n - 1)
+            else:
+                if pj < 0.0:
+                    raise WalkStuckError("stuck: zero degree, zero jump rate")
+                lo = offsets[cur]
+                d = offsets[cur + 1] - lo
+                cur = neighbors[lo + min(int((r - pj) / (1.0 - pj) * d), d - 1)]
+            steps += 1
+            yield cur, steps, kept
+
+
+def reference_stream(g: Graph, cfg, start=None) -> list[tuple[int, int]]:
+    """Oracle for sample_stream: the (node, step) samples of walk_reference
+    on start, move and keep generators spawned from cfg.seed."""
+    start_ss, move_ss, keep_ss = np.random.SeedSequence(cfg.seed).spawn(3)
+    if start is None:
+        start = int(np.random.default_rng(start_ss).integers(g.n))
+    steps = walk_reference(g, cfg.alpha, np.random.default_rng(move_ss),
+                           np.random.default_rng(keep_ss), start, cfg.max_steps,
+                           cfg.mode)
+    return [(node, raw) for node, raw, kept in steps if kept]
+
+
+def reference_hit(g: Graph, cfg, start, target: int):
+    """Oracle for walk_until_hit over walk_reference."""
+    rng = np.random.default_rng(cfg.seed)
+    s0 = int(rng.integers(g.n)) if start is None else start
+    if s0 == target:
+        return 0
+    for node, raw, _ in walk_reference(g, cfg.alpha, rng, None, s0, cfg.max_steps):
+        if node == target:
+            return raw
+    return None
+
+
+def exact_top_k_sort(g: Graph, k: int) -> list[DegreeRecord]:
+    """Oracle for exact_top_k: a stable sort of the whole degree array on
+    the same (degree, -id) key in place of a size-k selection."""
+    key = g.degrees.astype(np.int64) * np.int64(g.n) - np.arange(g.n, dtype=np.int64)
+    top = np.argsort(-key, kind="stable")[:k]
+    return [DegreeRecord(int(i), int(g.degrees[i])) for i in top]
+
+
+# Graph caches that load_npz must reject: name -> (members, faulty member).
+# The base is the path 0-1-2: offsets [0, 1, 3, 4], neighbors [1, 0, 2, 1].
+_PATH3 = {"offsets": [0, 1, 3, 4], "neighbors": [1, 0, 2, 1], "original_ids": [0, 1, 2]}
+CORRUPT_CACHES = {
+    **{f"no_{m}": ({k: v for k, v in _PATH3.items() if k != m}, m) for m in _PATH3},
+    "offsets_start_at_1": ({**_PATH3, "offsets": [1, 1, 3, 4]}, "offsets"),
+    "offsets_swapped": ({**_PATH3, "offsets": [0, 3, 1, 4]}, "offsets"),
+    "offsets_end_short": ({**_PATH3, "offsets": [0, 1, 3, 3]}, "offsets"),
+    "neighbor_negative": ({**_PATH3, "neighbors": [1, 0, 2, -1]}, "neighbors"),
+    "neighbor_is_n": ({**_PATH3, "neighbors": [1, 0, 3, 1]}, "neighbors"),
+    "original_ids_short": ({**_PATH3, "original_ids": [0, 1]}, "original_ids"),
+}
 
 
 def star_graph(n: int) -> Graph:

@@ -5,6 +5,8 @@ import degreewalk as dw
 from degreewalk.cli import build_parser, main
 from degreewalk.experiments import read_csv_body
 
+from helpers import CORRUPT_CACHES
+
 
 @pytest.fixture
 def star_file(tmp_path):
@@ -129,6 +131,18 @@ class TestDetect:
         assert outputs[0] == outputs[1]
 
 
+    @pytest.mark.parametrize("case", sorted(CORRUPT_CACHES))
+    def test_detect_rejects_corrupt_cache(self, case, tmp_path, capsys):
+        members, bad = CORRUPT_CACHES[case]
+        path = tmp_path / "g.npz"
+        np.savez(path, **{k: np.array(v, dtype=np.int64) for k, v in members.items()})
+        rc = main(["detect", str(path), "--k", "1", "--rule", "fixed",
+                   "--m", "5", "--alpha", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"g.npz: {bad}:" in captured.err and captured.out == ""
+
+
 class TestGenerateAndIngest:
     def test_generate_pa_deterministic(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -194,7 +208,9 @@ class TestAnalyze:
         assert "hitting_time=1.0" in capsys.readouterr().out
 
     def test_bad_nu_spec(self, star_file, capsys):
-        assert main(["analyze", "hitting", star_file, "--nu", "everywhere"]) == 1
+        for spec in ("everywhere", "node:abc"):
+            assert main(["analyze", "hitting", star_file, "--nu", spec]) == 1, spec
+            assert "usage error: --nu" in capsys.readouterr().err
 
 
 class TestEstimate:
@@ -235,6 +251,9 @@ class TestExperimentCommand:
 
     def test_accuracy_requires_grid(self, star_file, capsys):
         assert main(["experiment", "accuracy", star_file, "--runs", "5"]) == 1
+        assert main(["experiment", "accuracy", star_file, "--runs", "5",
+                     "--m-grid", "1,x"]) == 1
+        assert "usage error: --m-grid" in capsys.readouterr().err
 
     def test_accuracy_csv(self, star_file, tmp_path, capsys):
         out = tmp_path / "acc.csv"

@@ -9,8 +9,9 @@ import degreewalk as dw
 from degreewalk import graph as graph_mod
 from degreewalk.graph import EdgeListParseError
 
-from helpers import (check_graph_invariants, edge_lines_reference,
-                     from_edges_reference, random_connected_graph, star_graph)
+from helpers import (CORRUPT_CACHES, check_graph_invariants, edge_lines_reference,
+                     exact_top_k_sort, from_edges_reference,
+                     random_connected_graph, star_graph)
 
 # edge-list files on which load_edge_list must agree with the line loop
 PARSE_CASES = {
@@ -114,13 +115,6 @@ class TestIngest:
         with pytest.raises(ValueError, match="empty"):
             dw.ingest_edge_list(["# nothing here"])
 
-    def test_symmetrize_flag_same_simple_graph(self):
-        lines = ["0 1", "1 2", "2 0", "0 2"]
-        a = dw.ingest_edge_list(lines, symmetrize=False)
-        b = dw.ingest_edge_list(lines, symmetrize=True)
-        assert list(a.degrees) == list(b.degrees)
-        assert a.m_edges == b.m_edges == 3
-
     def test_idempotent_reingest(self):
         g = random_connected_graph(300, 5.0, seed=3)
         g2 = dw.ingest_edge_list(list(g.to_edge_lines()))
@@ -186,9 +180,7 @@ class TestTopK:
     def test_select_and_sort_agree(self):
         g = random_connected_graph(150, 6.0, seed=9)
         for k in (1, 5, 150):
-            a = dw.exact_top_k(g, k, method="select")
-            b = dw.exact_top_k(g, k, method="sort")
-            assert a == b
+            assert dw.exact_top_k(g, k) == exact_top_k_sort(g, k)
 
     def test_top_n_is_full_permutation(self):
         g = random_connected_graph(80, 5.0, seed=1)
@@ -228,6 +220,15 @@ class TestBinaryCache:
         assert np.array_equal(g.original_ids, g2.original_ids)
         with zipfile.ZipFile(path) as zf:
             assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_CACHES))
+    def test_corrupt_cache_rejected(self, case, tmp_path):
+        members, bad = CORRUPT_CACHES[case]
+        path = tmp_path / "g.npz"
+        np.savez(path, **{k: np.array(v, dtype=np.int64) for k, v in members.items()})
+        with pytest.raises(ValueError) as exc:
+            dw.Graph.load_npz(path)
+        assert f"g.npz: {bad}:" in str(exc.value)
 
 
 class TestIdRemap:

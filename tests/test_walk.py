@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import degreewalk as dw
 from degreewalk.analytics import transition_matrix
 from degreewalk.walk import (EveryStep, Thinned, WalkConfig, WalkStuckError,
                              sample_stream, walk_until_hit)
 
-from helpers import random_connected_graph
+from helpers import random_connected_graph, reference_hit, reference_stream
 
 
 class TestStep:
@@ -67,6 +69,53 @@ class TestStep:
         cfg = WalkConfig(alpha=0.5, seed=4, max_steps=10)
         got = [s.step_index for s in sample_stream(star4, cfg, start=0)]
         assert got == list(range(1, 11))
+
+
+# transients that end inside the first 4096-step block, on its last step,
+# inside the second block and past the second block
+KERNEL_MODES = [EveryStep(), Thinned(transient=100, q=0.3),
+                Thinned(transient=4096, q=0.5), Thinned(transient=4500, q=0.6),
+                Thinned(transient=8200, q=0.9)]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except WalkStuckError:
+        return WalkStuckError
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @example(n=3, pairs=[(0, 1)], alpha=0.0, mode=EveryStep(), max_steps=50,
+             seed=0, start=2, target=0)
+    @example(n=6, pairs=[(0, 1), (1, 2), (3, 1)], alpha=0.3, mode=KERNEL_MODES[3],
+             max_steps=9000, seed=1, start=None, target=5)
+    @given(n=st.integers(1, 8),
+           pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                          max_size=12),
+           alpha=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+           mode=st.sampled_from(KERNEL_MODES),
+           max_steps=st.sampled_from([1, 50, 4096, 4097, 9000]),
+           seed=st.integers(0, 2**32 - 1),
+           start=st.none() | st.integers(0, 7), target=st.integers(0, 7))
+    def test_matches_table_kernel(self, n, pairs, alpha, mode, max_steps, seed,
+                                  start, target):
+        """sample_stream and walk_until_hit equal the table-driven kernel on
+        small graphs with isolated nodes (every node on no pair)."""
+        edges = np.array([(u, v) for u, v in pairs if u < n and v < n],
+                         dtype=np.int64).reshape(-1, 2)
+        g = dw.Graph.from_edges(edges, n=n)
+        start = None if start is None else start % n
+        target %= n
+        cfg = WalkConfig(alpha=alpha, seed=seed, max_steps=max_steps, mode=mode)
+        stream = _outcome(lambda: [tuple(s) for s in sample_stream(g, cfg, start)])
+        assert stream == _outcome(lambda: reference_stream(g, cfg, start))
+        hit = _outcome(lambda: walk_until_hit(g, cfg, start, target))
+        assert hit == _outcome(lambda: reference_hit(g, cfg, start, target))
+        if alpha == 0.0 and start is not None and g.degrees[start] == 0:
+            assert stream is WalkStuckError
+            assert hit == (0 if start == target else WalkStuckError)
 
 
 class TestWalkUntilHit:
