@@ -65,6 +65,8 @@ GOLDEN = {
         "1d2588539e37298e2b2dd1d228a9fa366834c270072140795879e6fdadeacba8",
     "experiment_accuracy_thinned":
         "791d926539b11d9121085eb4bd8e1e4026c23384adfc738b01976c57f34ec8c2",
+    "experiment_accuracy_timeout":
+        "6d479d7c810f24e8af0cd0e806bcc78f78afc2698041e4866dbd8f62ecb035c6",
     "experiment_stopping_r2":
         "cc5c796cb4fb8aa59f02b5956df6962422c4e5b2e13fbae3aedb464d392b59e2",
     "isolated_r2_everystep":
@@ -200,13 +202,18 @@ ISOLATED_ARGS = {
 }
 
 # hitting: low alpha and a short --max-steps, so 11 of 30 trials time out and
-# one hits on the last allowed step; accuracy: a thinning transient that ends
-# inside the second 4096-step move block
+# one hits on the last allowed step; accuracy_thinned: a thinning transient
+# that ends inside the second 4096-step move block; accuracy_timeout: every
+# trial stops at --max-steps, so the grid points from 801 on hold the counts
+# at 800
 EXPERIMENT_ARGS = {
     "hitting": ["hitting", "--runs", "30", "--alpha", "0.5", "--max-steps", "150"],
     "accuracy_thinned": ["accuracy", "--runs", "8", "--k", "10", "--alpha", "2",
                          "--mode", "thinned", "--transient", "4500", "--q", "0.3",
                          "--m-grid", "0,100,1000,3000"],
+    "accuracy_timeout": ["accuracy", "--runs", "8", "--k", "10", "--alpha", "2",
+                         "--mode", "everystep", "--max-steps", "800",
+                         "--m-grid", "0,1,799,800,801,5000"],
     "stopping_r2": ["stopping", "--runs", "12", "--k", "10", "--alpha", "2",
                     "--rule", "r2", "--b-bar", "7"],
 }
