@@ -17,6 +17,9 @@ import numpy as np
 from .graph import Graph, exact_top_k
 from .generators import ParetoTail
 
+# most nodes the dense kernel accepts: hitting_time_exact's solve is O(n^3)
+_DENSE_CAP = 2000
+
 
 class UnreachableTargetError(RuntimeError):
     """The hitting-time system is singular: some state cannot reach the target."""
@@ -69,11 +72,11 @@ def return_time_from_constants(n: float, avg_degree: float, alpha: float,
     return (n * avg_degree + n * alpha) / (d_max + alpha)
 
 
-def transition_matrix(g: Graph, alpha: float, dense_cap: int = 2000) -> np.ndarray:
+def transition_matrix(g: Graph, alpha: float) -> np.ndarray:
     """Dense one-step kernel: p_ij = (alpha/n + [i~j]) / (d_i + alpha)."""
-    if g.n > dense_cap:
+    if g.n > _DENSE_CAP:
         raise ValueError(
-            f"n={g.n} exceeds dense cap {dense_cap}; use Monte Carlo instead")
+            f"n={g.n} exceeds dense cap {_DENSE_CAP}; use Monte Carlo instead")
     if alpha == 0.0 and g.degrees.min() == 0:
         raise ValueError("alpha=0 with an isolated node: kernel undefined")
     n = g.n
@@ -99,8 +102,7 @@ def _reaches_target(g: Graph, target: int) -> bool:
 
 
 def hitting_time_exact(g: Graph, alpha: float, target: int,
-                       nu: int | np.ndarray | None = None,
-                       dense_cap: int = 2000) -> float:
+                       nu: int | np.ndarray | None = None) -> float:
     """Exact expected hitting time to `target` by a dense linear solve.
 
     Solves (I - P_t) h = 1 where P_t is the kernel with the target's row
@@ -111,19 +113,18 @@ def hitting_time_exact(g: Graph, alpha: float, target: int,
     nu : None for the uniform initial distribution, an int for a fixed
         start node, or a length-n probability vector. Mass on the target
         contributes hitting time 0.
-    dense_cap : refuse graphs larger than this (the solve is O(n^3)).
     """
     if not 0 <= target < g.n:
         raise IndexError(f"target {target} out of range [0, {g.n})")
-    if g.n > dense_cap:
+    if g.n > _DENSE_CAP:
         raise ValueError(
-            f"n={g.n} exceeds dense cap {dense_cap}; use Monte Carlo instead")
+            f"n={g.n} exceeds dense cap {_DENSE_CAP}; use Monte Carlo instead")
     if alpha == 0.0:
         if g.degrees.min() == 0 or not _reaches_target(g, target):
             raise UnreachableTargetError(
                 "unreachable target: alpha=0 and the graph does not connect "
                 "every node to the target")
-    P = transition_matrix(g, alpha, dense_cap=dense_cap)
+    P = transition_matrix(g, alpha)
     idx = np.delete(np.arange(g.n), target)
     A = np.eye(g.n - 1) - P[np.ix_(idx, idx)]
     b = np.ones(g.n - 1)

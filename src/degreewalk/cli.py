@@ -83,20 +83,15 @@ def _emit(args, lines) -> None:
 
 # -- generate ----------------------------------------------------------------
 
-def _cmd_generate_pa(args) -> int:
-    cfg = generators.PAConfig(n=args.n, edges_per_node=args.edges_per_node,
-                              attractiveness=args.attract, seed=args.seed)
-    g = generators.generate_pa(cfg)
-    _emit(args, g.to_edge_lines())
-    print(f"n={g.n} m_edges={g.m_edges} d_max={int(g.degrees.max())}",
-          file=sys.stderr)
-    return 0
-
-
-def _cmd_generate_cm(args) -> int:
-    tail = generators.ParetoTail(gamma=args.gamma, c=args.c, x_prime=args.xprime)
-    cfg = generators.ConfigModelConfig(n=args.n, tail=tail, seed=args.seed)
-    g = generators.generate_config_model(cfg)
+def _cmd_generate(args) -> int:
+    if args.model == "pa":
+        g = generators.generate_pa(generators.PAConfig(
+            n=args.n, edges_per_node=args.edges_per_node,
+            attractiveness=args.attract, seed=args.seed))
+    else:
+        tail = generators.ParetoTail(gamma=args.gamma, c=args.c, x_prime=args.xprime)
+        g = generators.generate_config_model(
+            generators.ConfigModelConfig(n=args.n, tail=tail, seed=args.seed))
     _emit(args, g.to_edge_lines())
     print(f"n={g.n} m_edges={g.m_edges} d_max={int(g.degrees.max())}",
           file=sys.stderr)
@@ -118,23 +113,26 @@ def _cmd_ingest(args) -> int:
 
 # -- detect -------------------------------------------------------------------
 
+def _rule_threshold(rule: str, m, a_bar, b_bar):
+    """The value of the threshold flag for `rule`; UsageError if missing or extra."""
+    given = {"--m": m, "--a-bar": a_bar, "--b-bar": b_bar}
+    needed = {"fixed": "--m", "r0": "--a-bar", "r1": "--a-bar", "r2": "--b-bar"}[rule]
+    for flag, value in given.items():
+        if flag == needed and value is None:
+            raise UsageError(f"rule {rule} requires {flag}")
+        if flag != needed and value is not None:
+            raise UsageError(f"rule {rule} does not take {flag}")
+    return given[needed]
+
+
 def _cmd_detect(args) -> int:
     rule = args.rule
-    given = {"--m": args.m is not None, "--a-bar": args.a_bar is not None,
-             "--b-bar": args.b_bar is not None}
-    needed = {"fixed": "--m", "r0": "--a-bar", "r1": "--a-bar", "r2": "--b-bar"}[rule]
-    for flag, present in given.items():
-        if flag == needed and not present:
-            raise UsageError(f"rule {rule} requires {flag}")
-        if flag != needed and present:
-            raise UsageError(f"rule {rule} does not take {flag}")
-
+    threshold = _rule_threshold(rule, args.m, args.a_bar, args.b_bar)
     g = _load_graph(args.graph)
     cfg = _walk_config(args, g)
     if rule == "fixed":
-        dec = detector.detect_fixed_m_decision(g, cfg, args.k, args.m)
+        dec = detector.detect_fixed_m_decision(g, cfg, args.k, threshold)
     else:
-        threshold = args.b_bar if rule == "r2" else args.a_bar
         dec = detector.detect_with_rule(g, cfg, args.k, rule, threshold)
 
     lines = ["original_id,degree,hits"]
@@ -221,10 +219,7 @@ def _cmd_experiment(args) -> int:
     else:
         if args.rule is None:
             raise UsageError("experiment stopping requires --rule")
-        threshold = args.b_bar if args.rule == "r2" else args.a_bar
-        if threshold is None:
-            raise UsageError("experiment stopping requires --a-bar or --b-bar "
-                             "matching the rule")
+        threshold = _rule_threshold(args.rule, None, args.a_bar, args.b_bar)
         plan = experiments.StoppingEvalPlan(walk=cfg, k=args.k, rule=args.rule,
                                             threshold=threshold, runs=args.runs,
                                             master_seed=args.seed)
@@ -256,14 +251,14 @@ def build_parser() -> _Parser:
     pa.add_argument("--attract", type=float, default=0.5,
                     help="attachment offset added to each degree")
     _common_flags(pa)
-    pa.set_defaults(func=_cmd_generate_pa)
+    pa.set_defaults(func=_cmd_generate)
     cm = gen_sub.add_parser("cm", help="erased configuration model")
     cm.add_argument("--n", type=int, required=True)
     cm.add_argument("--gamma", type=float, required=True)
     cm.add_argument("--c", type=float, required=True)
     cm.add_argument("--xprime", type=float, required=True)
     _common_flags(cm)
-    cm.set_defaults(func=_cmd_generate_cm)
+    cm.set_defaults(func=_cmd_generate)
 
     ing = sub.add_parser("ingest", help="parse and summarize an edge list")
     ing.add_argument("graph")

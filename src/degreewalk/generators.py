@@ -42,7 +42,7 @@ class ParetoTail:
     def survival(self, x: float) -> float:
         return self.c * x ** (-self.gamma)
 
-    def quantile(self, u: float) -> float:
+    def quantile(self, u: float | np.ndarray) -> float | np.ndarray:
         """Inverse of the survival function: x with survival(x) = u."""
         return (self.c / u) ** (1.0 / self.gamma)
 
@@ -139,7 +139,7 @@ def sample_degrees(tail: ParetoTail, n: int, rng: np.random.Generator) -> np.nda
     p_tail = min(1.0, tail.survival(tail.x_prime))
     x = np.full(n, float(floor_deg))
     in_tail = u < p_tail
-    x[in_tail] = (tail.c / u[in_tail]) ** (1.0 / tail.gamma)
+    x[in_tail] = tail.quantile(u[in_tail])
     degs = np.ceil(x).astype(np.int64)
     return np.maximum(degs, floor_deg)
 

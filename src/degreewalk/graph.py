@@ -135,15 +135,20 @@ class Graph:
         """Read a cache written by save_npz (or np.savez_compressed).
 
         The walk reads degrees from offsets, so the arrays must form a
-        valid CSR. ValueError names the member when one is missing, offsets
-        does not start at 0, decreases or does not end at len(neighbors), a
-        neighbor lies outside [0, n), or len(original_ids) != n. Symmetry
-        of the adjacency is not checked."""
+        valid CSR. ValueError names the member when one is missing or not
+        1-D integers that fit int64, offsets does not start at 0, decreases
+        or does not end at len(neighbors), a neighbor lies outside [0, n),
+        or len(original_ids) != n. Adjacency symmetry is not checked."""
         with np.load(path) as data:
             missing = [m for m in _CACHE_MEMBERS if m not in data.files]
             if missing:
                 raise ValueError(f"graph cache {path}: {missing[0]}: missing")
-            g = cls(*(data[m] for m in _CACHE_MEMBERS))
+            arrays = [data[m] for m in _CACHE_MEMBERS]
+        for m, a in zip(_CACHE_MEMBERS, arrays):
+            if a.ndim != 1 or a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int64):
+                raise ValueError(f"graph cache {path}: {m}: {a.ndim}-D {a.dtype}, "
+                                 "not 1-D integers that fit int64")
+        g = cls(*arrays)
         off, nbr = g.offsets, g.neighbors
         if len(off) == 0 or off[0] != 0:
             fault = "offsets: must start with 0"

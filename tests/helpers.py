@@ -182,6 +182,7 @@ def exact_top_k_sort(g: Graph, k: int) -> list[DegreeRecord]:
 
 # Graph caches that load_npz must reject: name -> (members, faulty member).
 # The base is the path 0-1-2: offsets [0, 1, 3, 4], neighbors [1, 0, 2, 1].
+# Members are saved as given, so a list of ints is stored as int64.
 _PATH3 = {"offsets": [0, 1, 3, 4], "neighbors": [1, 0, 2, 1], "original_ids": [0, 1, 2]}
 CORRUPT_CACHES = {
     **{f"no_{m}": ({k: v for k, v in _PATH3.items() if k != m}, m) for m in _PATH3},
@@ -191,6 +192,11 @@ CORRUPT_CACHES = {
     "neighbor_negative": ({**_PATH3, "neighbors": [1, 0, 2, -1]}, "neighbors"),
     "neighbor_is_n": ({**_PATH3, "neighbors": [1, 0, 3, 1]}, "neighbors"),
     "original_ids_short": ({**_PATH3, "original_ids": [0, 1]}, "original_ids"),
+    "offsets_float": ({**_PATH3, "offsets": [0, 1.9, 3, 4]}, "offsets"),
+    "neighbors_float": ({**_PATH3, "neighbors": [1.0, 0.0, 2.0, 1.0]}, "neighbors"),
+    "offsets_2d": ({**_PATH3, "offsets": [[0, 1], [3, 4]]}, "offsets"),
+    "original_ids_uint64": ({**_PATH3, "original_ids": np.array([0, 1, 2], dtype=np.uint64)},
+                            "original_ids"),
 }
 
 

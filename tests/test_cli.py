@@ -135,7 +135,7 @@ class TestDetect:
     def test_detect_rejects_corrupt_cache(self, case, tmp_path, capsys):
         members, bad = CORRUPT_CACHES[case]
         path = tmp_path / "g.npz"
-        np.savez(path, **{k: np.array(v, dtype=np.int64) for k, v in members.items()})
+        np.savez(path, **members)
         rc = main(["detect", str(path), "--k", "1", "--rule", "fixed",
                    "--m", "5", "--alpha", "1"])
         assert rc == 2
@@ -265,9 +265,11 @@ class TestExperimentCommand:
         assert lines[1] == "m,mean_correct,ci95,exact,poisson"
 
     def test_stopping_requires_matching_threshold(self, star_file, capsys):
-        rc = main(["experiment", "stopping", star_file, "--rule", "r2",
-                   "--runs", "2", "--a-bar", "0.5"])
-        assert rc == 1
+        for flags in (["--rule", "r2", "--a-bar", "0.5"],
+                      ["--rule", "r0", "--a-bar", "0.5", "--b-bar", "9"]):
+            rc = main(["experiment", "stopping", star_file, "--runs", "2", "--k", "1"]
+                      + flags)
+            assert rc == 1, flags
 
     def test_stopping_csv(self, star_file, tmp_path, capsys):
         out = tmp_path / "stop.csv"
