@@ -150,7 +150,7 @@ def _cmd_detect(args) -> int:
 
 # -- analyze -------------------------------------------------------------------
 
-def _parse_nu(text: str, g: Graph):
+def _parse_nu(text: str):
     if text == "uniform":
         return None
     if text.startswith("node:"):
@@ -162,6 +162,7 @@ def _parse_nu(text: str, g: Graph):
 
 
 def _cmd_analyze(args) -> int:
+    nu = _parse_nu(args.nu) if args.what == "hitting" else None
     g = _load_graph(args.graph)
     alpha = _resolve_alpha(args, g)
     if args.what == "stationary":
@@ -175,7 +176,6 @@ def _cmd_analyze(args) -> int:
         print(f"return_time={analytics.expected_return_time_max(g, alpha)!r}")
         return 0
     target = args.target if args.target is not None else exact_top_k(g, 1)[0].node
-    nu = _parse_nu(args.nu, g)
     value = analytics.hitting_time_exact(g, alpha, target, nu=nu)
     print(f"hitting_time={value!r} target={target}")
     return 0
@@ -198,6 +198,17 @@ def _cmd_estimate(args) -> int:
 # -- experiment -------------------------------------------------------------------
 
 def _cmd_experiment(args) -> int:
+    if args.what == "accuracy":
+        if args.m_grid is None:
+            raise UsageError("experiment accuracy requires --m-grid")
+        try:
+            grid = tuple(int(x) for x in args.m_grid.split(","))
+        except ValueError as exc:
+            raise UsageError(f"--m-grid must be comma-separated integers: {exc}") from None
+    elif args.what == "stopping":
+        if args.rule is None:
+            raise UsageError("experiment stopping requires --rule")
+        threshold = _rule_threshold(args.rule, None, args.a_bar, args.b_bar)
     g = _load_graph(args.graph)
     cfg = _walk_config(args, g)
     if args.what == "hitting":
@@ -206,20 +217,11 @@ def _cmd_experiment(args) -> int:
         rows, summary = experiments.run_hitting_time(g, plan)
         header = ["trial", "steps"]
     elif args.what == "accuracy":
-        if args.m_grid is None:
-            raise UsageError("experiment accuracy requires --m-grid")
-        try:
-            grid = tuple(int(x) for x in args.m_grid.split(","))
-        except ValueError as exc:
-            raise UsageError(f"--m-grid must be comma-separated integers: {exc}") from None
         plan = experiments.AccuracyCurvePlan(walk=cfg, k=args.k, m_grid=grid,
                                              runs=args.runs, master_seed=args.seed)
         rows, summary = experiments.run_accuracy_curve(g, plan)
         header = ["m", "mean_correct", "ci95", "exact", "poisson"]
     else:
-        if args.rule is None:
-            raise UsageError("experiment stopping requires --rule")
-        threshold = _rule_threshold(args.rule, None, args.a_bar, args.b_bar)
         plan = experiments.StoppingEvalPlan(walk=cfg, k=args.k, rule=args.rule,
                                             threshold=threshold, runs=args.runs,
                                             master_seed=args.seed)

@@ -2,7 +2,7 @@
 
 The detector walks the graph, keeps the k best-degree distinct nodes
 visited so far, and counts how often each listed node occurs in the
-(possibly thinned) sample stream. Membership updates on every visit; a
+(possibly thinned) sample stream. Every visit may update membership; a
 node's hit counter counts samples from its entry into the list and is
 dropped on eviction, so memory is O(k). The three stopping rules turn the
 counters into data-driven termination: rule 0 thresholds an estimated
@@ -10,12 +10,19 @@ probability that the list still misses a true top-k node, rule 1
 simplifies that to a hit floor for the weakest counter, and rule 2
 thresholds an estimated number of correct entries. A rule is re-scored
 only after a sample that changed the list.
+
+The walk arrives in blocks of steps. Once the list is full, a step whose
+degree is below the worst listed degree can neither enter the list nor
+hit a member, so each block is filtered with numpy and only the steps
+left reach the list.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import Graph
 from .walk import WalkConfig, _visits
@@ -173,6 +180,18 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
     first, then after each sample that left the list changed: the rules
     read only the members and their counts, so a skipped call would have
     returned the same False.
+
+    Each walk block is cut at the sample that exhausts the budget and then
+    filtered. Once the list is full, and the rule has scored its last
+    change, only the steps whose degree is at least the worst listed
+    degree reach the list. Every member has at least that degree, and the
+    worst key only improves, so a skipped step is a non-member that cannot
+    enter: it would change nothing. A skipped sample can only matter as the
+    first sample after an unsampled visit changed the list, which would
+    re-score the rule there. That visit gave a full list whose last score
+    was False a member with no hits, and every rule stays False then: rule
+    0 scores 2 > a_bar, rule 1 sees a minimum of 0 hits, and rule 2's
+    coverage cannot have grown.
     """
     lst = CandidateList(k)
     if stop_rule is not None and stop_rule(lst):
@@ -180,19 +199,37 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
     scored = lst._changes
     degrees = g.degrees
     samples = 0
-    for node, raw, kept in _visits(g, cfg):
-        deg = int(degrees[node])
-        if kept:
-            samples += 1
-            lst.update(node, deg)
-            if stop_rule is not None and lst._changes != scored:
-                scored = lst._changes
-                if stop_rule(lst):
-                    return StopDecision(rule, threshold, True, samples, raw, lst)
-            if stop_sample is not None and samples >= stop_sample:
-                return StopDecision(rule, threshold, True, samples, raw, lst)
-        else:
-            lst.observe(node, deg)
+    for nodes, kept, base in _visits(g, cfg):
+        # at[i]: samples up to and including step i of the block
+        at = (np.arange(samples + 1, samples + len(nodes) + 1) if kept is None
+              else samples + np.cumsum(kept))
+        end = len(nodes)
+        if stop_sample is not None and at[-1] >= stop_sample:
+            end = int(np.searchsorted(at, stop_sample)) + 1
+        degs = degrees[nodes[:end]]
+        deg_of = degs.tolist()
+        kept_at = None if kept is None else kept.tolist()
+        i = 0
+        while i < end:
+            if lst.is_full and (stop_rule is None or lst._changes == scored):
+                todo = (np.flatnonzero(degs[i:] >= -lst._worst_key[0]) + i).tolist()
+                i = end
+            else:
+                todo = (i,)
+                i += 1
+            for j in todo:
+                if kept_at is None or kept_at[j]:
+                    lst.update(nodes[j], deg_of[j])
+                    if stop_rule is not None and lst._changes != scored:
+                        scored = lst._changes
+                        if stop_rule(lst):
+                            return StopDecision(rule, threshold, True, int(at[j]),
+                                                base + j + 1, lst)
+                else:
+                    lst.observe(nodes[j], deg_of[j])
+        samples = int(at[end - 1])
+        if samples == stop_sample:
+            return StopDecision(rule, threshold, True, samples, base + end, lst)
     return StopDecision(rule, threshold, False, samples, cfg.max_steps, lst)
 
 

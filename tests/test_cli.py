@@ -56,6 +56,20 @@ class TestExitCodes:
     def test_missing_file_is_runtime_error(self, capsys):
         assert main(["ingest", "/nonexistent/graph.txt"]) == 2
 
+    @pytest.mark.parametrize("command, flags", [
+        (["detect"], ["--k", "1", "--rule", "r1"]),
+        (["experiment", "stopping"], []),
+        (["experiment", "stopping"], ["--rule", "r0"]),
+        (["experiment", "stopping"], ["--rule", "r2", "--a-bar", "0.5"]),
+        (["experiment", "accuracy"], []),
+        (["experiment", "accuracy"], ["--m-grid", "1,x"]),
+        (["analyze", "hitting"], ["--nu", "everywhere"]),
+    ])
+    def test_bad_flags_reported_before_graph_is_read(self, command, flags, capsys):
+        """A flag error exits 1 even when the graph file does not exist."""
+        assert main(command + ["/nonexistent/graph.txt"] + flags) == 1
+        assert "usage error:" in capsys.readouterr().err
+
     def test_malformed_edge_list(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1\nnope\n")

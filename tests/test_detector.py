@@ -322,20 +322,36 @@ class TestDetection:
     # a_bar = 2.2: rule 0 fires once the list is full; unsampled visits fill
     # it here, and the next sample, a rejected node, must re-score the rule
     @example(graph_seed=1, n=8, walk_seed=0, rule="r0", k_choice=3,
-             thinned=True, max_steps=300, level=0.872)
+             thinned=True, transient=5, max_steps=300, level=0.872)
     @example(graph_seed=1, n=8, walk_seed=15, rule="r0", k_choice=3,
-             thinned=True, max_steps=300, level=0.872)
+             thinned=True, transient=5, max_steps=300, level=0.872)
+    # past the first draw of 4096 move uniforms (levels beyond 1 are sample
+    # budgets the strategy does not reach):
+    # m = 4096, so the budget runs out on the last step of the first draw
+    @example(graph_seed=1, n=14, walk_seed=0, rule="fixed", k_choice=3,
+             thinned=False, transient=5, max_steps=5000, level=10.238)
+    # rule 2 with b_bar = k fires at raw step 4279
+    @example(graph_seed=1, n=30, walk_seed=0, rule="r2", k_choice="n",
+             thinned=True, transient=5, max_steps=9000, level=1.0)
+    # the transient ends at raw step 4500, and m = 401 arrives at 5245
+    @example(graph_seed=3, n=10, walk_seed=1, rule="fixed", k_choice=3,
+             thinned=True, transient=4500, max_steps=9000, level=1.0)
+    # k = 30 of 40 nodes: many steps fall below the worst listed degree,
+    # and a lower-id node tied with the worst entry first shows up late
+    @example(graph_seed=1, n=40, walk_seed=10, rule="fixed", k_choice=30,
+             thinned=False, transient=5, max_steps=6000, level=12.0)
     @given(graph_seed=st.integers(0, 30), n=st.integers(4, 14),
            walk_seed=st.integers(0, 2**32 - 1),
            rule=st.sampled_from(["r0", "r1", "r2", "fixed"]),
            k_choice=st.sampled_from([1, 3, "n"]),
-           thinned=st.booleans(), max_steps=st.integers(1, 800),
-           level=st.floats(0.0, 1.0))
+           thinned=st.booleans(), transient=st.just(5),
+           max_steps=st.integers(1, 800), level=st.floats(0.0, 1.0))
     def test_matches_reference_loop(self, graph_seed, n, walk_seed, rule,
-                                    k_choice, thinned, max_steps, level):
+                                    k_choice, thinned, transient, max_steps,
+                                    level):
         g = random_connected_graph(n, 3.0, seed=graph_seed)
         k = n if k_choice == "n" else k_choice
-        mode = Thinned(transient=5, q=0.5) if thinned else EveryStep()
+        mode = Thinned(transient=transient, q=0.5) if thinned else EveryStep()
         cfg = WalkConfig(alpha=1.0, seed=walk_seed, max_steps=max_steps, mode=mode)
         if rule == "fixed":
             threshold = 1 + int(level * 400)

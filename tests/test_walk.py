@@ -8,7 +8,8 @@ from degreewalk.analytics import transition_matrix
 from degreewalk.walk import (EveryStep, Thinned, WalkConfig, WalkStuckError,
                              sample_stream, walk_until_hit)
 
-from helpers import random_connected_graph, reference_hit, reference_stream
+from helpers import (random_connected_graph, reference_hit, reference_stream,
+                     shared_rng_hitting_times, walk_reference)
 
 
 class TestStep:
@@ -133,6 +134,37 @@ class TestWalkUntilHit:
                                                   max_steps=100), None, 0)
                  for i in range(100_000)]
         assert abs(np.mean(times) - 0.75) <= 0.01
+
+    @pytest.mark.parametrize("steps", [4096, 4097])
+    def test_hit_at_draw_edge(self, steps):
+        """A first visit on the last step paid by the first draw of move
+        uniforms, or on the first step of the second draw, is found there."""
+        g = dw.generate_pa(dw.PAConfig(n=20_000, edges_per_node=1, seed=3))
+        cfg = WalkConfig(alpha=1.0, seed=1, max_steps=10_000)
+        nodes = [v for v, _, _ in walk_reference(g, cfg.alpha, np.random.default_rng(cfg.seed),
+                                                 None, 0, steps)]
+        target = nodes[-1]
+        assert target != 0 and target not in nodes[:-1]
+        assert walk_until_hit(g, cfg, 0, target) == steps
+
+    def test_walks_sharing_a_generator_draw_the_same_streams(self):
+        """Walks that stop early leave the shared generator where the
+        reference kernel leaves it, so every later walk sees the same draws."""
+        g = dw.generate_pa(dw.PAConfig(n=2000, edges_per_node=1, seed=3))
+        target = int(np.flatnonzero(g.degrees == 1)[0])
+        rng = np.random.default_rng(8)
+        expected = []
+        for _ in range(20):
+            start = int(rng.integers(g.n))
+            steps = 0
+            if start != target:
+                for node, steps, _ in walk_reference(g, 0.2, rng, None, start, 10 ** 7):
+                    if node == target:
+                        break
+            expected.append(steps)
+        got = shared_rng_hitting_times(g, 0.2, target, np.random.default_rng(8), 20)
+        assert got.tolist() == expected
+        assert min(expected) < 512 and max(expected) > 4096
 
     def test_unreachable_times_out(self):
         two_triangles = dw.ingest_edge_list(
