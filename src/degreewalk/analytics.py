@@ -40,8 +40,8 @@ def stationary(g: Graph, alpha: float) -> StationaryDist:
     Requires alpha > 0, or alpha == 0 on a graph without isolated nodes
     (otherwise the walk's long-run distribution is undefined).
     """
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if alpha == 0.0 and (g.n == 0 or g.degrees.min() == 0):
         raise ValueError("alpha=0 with an isolated node: stationary law undefined")
     denom = 2.0 * g.m_edges + g.n * alpha
@@ -50,8 +50,8 @@ def stationary(g: Graph, alpha: float) -> StationaryDist:
 
 def jump_probability(g: Graph, alpha: float) -> float:
     """Steady-state probability that a step is a jump: n*alpha/(2|E|+n*alpha)."""
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if alpha == 0.0:
         return 0.0
     return g.n * alpha / (2.0 * g.m_edges + g.n * alpha)

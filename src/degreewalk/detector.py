@@ -11,10 +11,11 @@ simplifies that to a hit floor for the weakest counter, and rule 2
 thresholds an estimated number of correct entries. A rule is re-scored
 only after a sample that changed the list.
 
-The walk arrives in blocks of steps. Once the list is full, a step whose
-degree is below the worst listed degree can neither enter the list nor
-hit a member, so each block is filtered with numpy and only the steps
-left reach the list.
+The walk arrives in blocks of steps, each with a mask of the steps that
+the sampling mode keeps. Once the list is full, a step whose degree is
+below the worst listed degree can neither enter the list nor hit a
+member, so each block is filtered with numpy and only the steps left
+reach the list.
 """
 
 from __future__ import annotations
@@ -193,6 +194,8 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
     0 scores 2 > a_bar, rule 1 sees a minimum of 0 hits, and rule 2's
     coverage cannot have grown.
     """
+    if k > g.n:
+        raise ValueError(f"k={k} exceeds node count n={g.n}")
     lst = CandidateList(k)
     if stop_rule is not None and stop_rule(lst):
         return StopDecision(rule, threshold, True, 0, 0, lst)
@@ -201,14 +204,13 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
     samples = 0
     for nodes, kept, base in _visits(g, cfg):
         # at[i]: samples up to and including step i of the block
-        at = (np.arange(samples + 1, samples + len(nodes) + 1) if kept is None
-              else samples + np.cumsum(kept))
+        at = samples + np.cumsum(kept)
         end = len(nodes)
         if stop_sample is not None and at[-1] >= stop_sample:
             end = int(np.searchsorted(at, stop_sample)) + 1
         degs = degrees[nodes[:end]]
         deg_of = degs.tolist()
-        kept_at = None if kept is None else kept.tolist()
+        kept_at = kept.tolist()
         i = 0
         while i < end:
             if lst.is_full and (stop_rule is None or lst._changes == scored):
@@ -218,7 +220,7 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
                 todo = (i,)
                 i += 1
             for j in todo:
-                if kept_at is None or kept_at[j]:
+                if kept_at[j]:
                     lst.update(nodes[j], deg_of[j])
                     if stop_rule is not None and lst._changes != scored:
                         scored = lst._changes
@@ -236,8 +238,6 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
 def detect_fixed_m_decision(g: Graph, cfg: WalkConfig, k: int, m: int) -> StopDecision:
     """detect_fixed_m with cost accounting; fired=False when the walk's
     raw-step cap ran out before m samples arrived."""
-    if k > g.n:
-        raise ValueError(f"k={k} exceeds node count n={g.n}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return _run_list(g, cfg, k, "fixed_m", float(m), stop_sample=m, stop_rule=None)
@@ -258,8 +258,6 @@ def detect_with_rule(g: Graph, cfg: WalkConfig, k: int, rule: str,
     threshold fires at zero cost, and then after every sample. A run that
     exhausts max_steps is returned with fired=False.
     """
-    if k > g.n:
-        raise ValueError(f"k={k} exceeds node count n={g.n}")
     if rule not in _RULES:
         raise ValueError(f"rule must be one of {tuple(_RULES)}, got {rule!r}")
     recorded = float(rule1_threshold(k, threshold)) if rule == "r1" else threshold

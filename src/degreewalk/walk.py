@@ -6,9 +6,10 @@ moves to a uniform neighbor of i. This two-stage draw realizes exactly the
 kernel p_ij = (alpha/n + [i~j]) / (d_i + alpha) without materializing any
 matrix rows.
 
-The kernel, _walk, hands out the walk in blocks of up to _BLOCK steps, so
-consumers take a block at once: the detector filters it with numpy, and
-sample_stream flattens it. The block size changes no draw and no visit.
+The kernel, _walk, only moves, in blocks of up to _BLOCK steps whose size
+changes no draw and no visit; _visits alone applies the sampling mode, as
+a keep mask per block. The detector filters a block with numpy, and
+sample_stream flattens it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .graph import Graph
 
-_DRAW = 4096  # move and keep uniforms per generator call
+_DRAW = 4096  # move uniforms per generator call
 _BLOCK = 512  # steps per block handed out by _walk
 
 
@@ -41,8 +42,8 @@ class Thinned:
     q: float = 0.5
 
     def __post_init__(self):
-        if self.transient < 0:
-            raise ValueError(f"transient must be >= 0, got {self.transient}")
+        if not isinstance(self.transient, (int, np.integer)) or self.transient < 0:
+            raise ValueError(f"transient must be an integer >= 0, got {self.transient!r}")
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must be in (0, 1], got {self.q}")
 
@@ -58,10 +59,10 @@ class WalkConfig:
     mode: Mode = EveryStep()
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not isinstance(self.max_steps, (int, np.integer)) or self.max_steps < 1:
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
 class Sample(NamedTuple):
@@ -69,45 +70,33 @@ class Sample(NamedTuple):
     step_index: int  # raw walk step at which the node was visited
 
 
-# (nodes, kept mask or None under EveryStep, raw steps before the block)
-Block = tuple[list[int], Union[np.ndarray, None], int]
+# (nodes, mask of the visits cfg.mode keeps, raw steps before the block)
+Block = tuple[list[int], np.ndarray, int]
 
 
-def _walk(g: Graph, alpha: float, move_rng: np.random.Generator,
-          keep_rng: np.random.Generator | None, start: int, max_steps: int,
-          mode: Mode = EveryStep(), stop: int = -1) -> Iterator[Block]:
-    """The walk as blocks (nodes, kept, base) of at most _BLOCK steps.
+def _walk(g: Graph, alpha: float, rng: np.random.Generator, start: int,
+          max_steps: int, stop: int = -1) -> Iterator[tuple[list[int], int]]:
+    """The walk as blocks (nodes, base) of at most _BLOCK steps.
 
-    nodes are the visits at raw steps base + 1, ..., base + len(nodes);
-    kept masks the visits that survive the sampling mode, and is None under
-    EveryStep. Under Thinned the kept visits are those past the transient
-    whose keep uniform, drawn from keep_rng, is below q. Thinning uniforms
-    come from their own stream, so Thinned(q=1, transient=0) keeps exactly
-    the EveryStep visits. The walk ends after max_steps steps, or with the
-    block whose last node is the first visit of `stop` after the start.
+    nodes are the visits at raw steps base + 1, ..., base + len(nodes). The
+    walk ends after max_steps steps, or with the block whose last node is
+    the first visit of `stop` after the start.
 
     Each step reads the degree d from g.offsets and jumps with probability
     alpha/(d + alpha), the float that numpy's alpha/(degrees + alpha) gives.
-    Uniforms are drawn as random(min(_DRAW, steps left)), so walks that
-    share one move_rng draw the same sequence however early each of them
-    stops, and are made Python floats a block at a time, so a walk that
-    stops early converts at most one block it does not use.
+    Uniforms are drawn as rng.random(min(_DRAW, steps left)), so walks that
+    share one rng draw the same sequence however early each of them stops,
+    and are made Python floats a block at a time, so a walk that stops
+    early converts at most one block it does not use.
     """
     cur = start
     steps = 0
     n = g.n
     alpha = float(alpha)  # a Python float: a zero denominator raises
     offsets, neighbors = memoryview(g.offsets), memoryview(g.neighbors)
-    thinned = isinstance(mode, Thinned)
-    kept = None
     while steps < max_steps:
-        count = min(_DRAW, max_steps - steps)
-        draw = move_rng.random(count)
-        if thinned:
-            skip = min(count, max(0, mode.transient - steps))
-            keep = np.zeros(count, dtype=bool)
-            keep[skip:] = keep_rng.random(count - skip) < mode.q
-        for first in range(0, count, _BLOCK):
+        draw = rng.random(min(_DRAW, max_steps - steps))
+        for first in range(0, len(draw), _BLOCK):
             nodes = []
             visit = nodes.append
             for r in draw[first:first + _BLOCK].tolist():
@@ -129,9 +118,7 @@ def _walk(g: Graph, alpha: float, move_rng: np.random.Generator,
                 visit(cur)
                 if cur == stop:
                     break
-            if thinned:
-                kept = keep[first:first + len(nodes)]
-            yield nodes, kept, steps
+            yield nodes, steps
             steps += len(nodes)
             if cur == stop:
                 return
@@ -153,8 +140,7 @@ def walk_until_hit(g: Graph, cfg: WalkConfig, start: int | None,
         raise IndexError(f"start node {s0} out of range [0, {g.n})")
     if s0 == target:
         return 0
-    for nodes, _, base in _walk(g, cfg.alpha, rng, None, s0, cfg.max_steps,
-                                stop=target):
+    for nodes, base in _walk(g, cfg.alpha, rng, s0, cfg.max_steps, stop=target):
         if nodes[-1] == target:
             return base + len(nodes)
     return None
@@ -162,15 +148,26 @@ def walk_until_hit(g: Graph, cfg: WalkConfig, start: int | None,
 
 def _visits(g: Graph, cfg: WalkConfig,
             start: int | None = None) -> Iterator[Block]:
-    """The _walk blocks of cfg: start, move and keep generators are spawned
-    from cfg.seed, and start=None draws the initial node uniformly."""
+    """The _walk blocks of cfg, each with the mask of the visits cfg.mode
+    keeps. Start, move and keep generators are spawned from cfg.seed, and
+    start=None draws the initial node uniformly. Thinned draws one keep
+    uniform per step past the transient, so Thinned(transient=0, q=1) keeps
+    every visit, as EveryStep does."""
     start_ss, move_ss, keep_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     if start is None:
         start = int(np.random.default_rng(start_ss).integers(g.n))
     if not 0 <= start < g.n:
         raise IndexError(f"start node {start} out of range [0, {g.n})")
-    return _walk(g, cfg.alpha, np.random.default_rng(move_ss),
-                 np.random.default_rng(keep_ss), start, cfg.max_steps, cfg.mode)
+    mode = cfg.mode
+    keep_rng = np.random.default_rng(keep_ss)
+    for nodes, base in _walk(g, cfg.alpha, np.random.default_rng(move_ss),
+                             start, cfg.max_steps):
+        kept = np.ones(len(nodes), dtype=bool)
+        if isinstance(mode, Thinned):
+            skip = min(len(nodes), max(0, mode.transient - base))
+            kept[:skip] = False
+            kept[skip:] = keep_rng.random(len(nodes) - skip) < mode.q
+        yield nodes, kept, base
 
 
 def sample_stream(g: Graph, cfg: WalkConfig, start: int | None = None) -> Iterator[Sample]:
@@ -181,9 +178,5 @@ def sample_stream(g: Graph, cfg: WalkConfig, start: int | None = None) -> Iterat
     cfg.max_steps raw steps are walked either way.
     """
     for nodes, kept, base in _visits(g, cfg, start):
-        if kept is None:
-            for raw, node in enumerate(nodes, base + 1):
-                yield Sample(node, raw)
-        else:
-            for i in np.flatnonzero(kept).tolist():
-                yield Sample(nodes[i], base + i + 1)
+        for i in np.flatnonzero(kept).tolist():
+            yield Sample(nodes[i], base + i + 1)

@@ -94,8 +94,7 @@ def shared_rng_hitting_times(g: Graph, alpha: float, target: int,
         start = int(rng.integers(g.n))
         steps = 0
         if start != target:
-            for nodes, _, base in _walk(g, alpha, rng, None, start, 10 ** 7,
-                                        stop=target):
+            for nodes, base in _walk(g, alpha, rng, start, 10 ** 7, stop=target):
                 steps = base + len(nodes)
         times.append(steps)
     return np.array(times, dtype=np.float64)

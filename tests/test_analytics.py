@@ -46,6 +46,13 @@ class TestStationary:
             stationary(g, 0.0)
         assert stationary(g, 0.5).probs.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_bad_alpha_rejected(self, star4, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            stationary(star4, alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            jump_probability(star4, alpha)
+
 
 class TestJumpProbability:
     def test_zero_alpha(self, star4):

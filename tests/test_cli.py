@@ -83,6 +83,10 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 1" in err and "out of int64 range" in err
 
+    def test_nan_alpha_is_runtime_error(self, star_file, capsys):
+        assert main(["analyze", "stationary", star_file, "--alpha", "nan"]) == 2
+        assert "alpha" in capsys.readouterr().err
+
     def test_k_larger_than_n(self, star_file, capsys):
         rc = main(["detect", star_file, "--k", "10", "--rule", "fixed",
                    "--m", "5"])

@@ -365,6 +365,22 @@ class TestDetection:
                dec.final_list.entries())
         assert got == reference_decision(g, cfg, k, rule, threshold)
 
+    @pytest.mark.parametrize("rule, threshold", [
+        ("fixed", 1500), ("r0", 0.3), ("r1", 0.3), ("r2", 9.9)])
+    def test_thinned_q1_equals_everystep(self, rule, threshold):
+        """Thinned(transient=0, q=1) keeps every visit, so every query kind
+        decides exactly as under EveryStep."""
+        g = random_connected_graph(150, 4.0, seed=6)
+        got = []
+        for mode in (EveryStep(), Thinned(transient=0, q=1.0)):
+            cfg = WalkConfig(alpha=1.0, seed=17, max_steps=50_000, mode=mode)
+            dec = (detect_fixed_m_decision(g, cfg, 10, threshold) if rule == "fixed"
+                   else detect_with_rule(g, cfg, 10, rule, threshold))
+            got.append((dec.fired, dec.fired_at_samples, dec.raw_steps,
+                        dec.final_list.entries()))
+        assert got[0] == got[1]
+        assert got[0][0] and got[0][2] > 512
+
     def test_detection_deterministic(self):
         g = random_connected_graph(40, 4.0, seed=6)
         cfg = WalkConfig(alpha=1.0, seed=123, max_steps=50_000,

@@ -72,11 +72,13 @@ class TestStep:
         assert got == list(range(1, 11))
 
 
-# transients that end inside the first 4096-step block, on its last step,
-# inside the second block and past the second block
+# transients that end inside the first 4096-step draw, on its last step,
+# inside the second draw, past the second draw, on the last step of the
+# first 512-step block and on the first step of the second block
 KERNEL_MODES = [EveryStep(), Thinned(transient=100, q=0.3),
                 Thinned(transient=4096, q=0.5), Thinned(transient=4500, q=0.6),
-                Thinned(transient=8200, q=0.9)]
+                Thinned(transient=8200, q=0.9), Thinned(transient=512, q=0.4),
+                Thinned(transient=513, q=0.7)]
 
 
 def _outcome(run):
@@ -245,13 +247,22 @@ class TestChainProperties:
 
 class TestConfigValidation:
     def test_bad_values(self):
-        with pytest.raises(ValueError):
-            WalkConfig(alpha=-0.1)
-        with pytest.raises(ValueError):
-            WalkConfig(alpha=1.0, max_steps=0)
-        with pytest.raises(ValueError):
-            Thinned(q=0.0)
-        with pytest.raises(ValueError):
-            Thinned(q=1.5)
-        with pytest.raises(ValueError):
-            Thinned(transient=-1)
+        nan, inf = float("nan"), float("inf")
+        cases = [(lambda: WalkConfig(alpha=-0.1), "alpha"),
+                 (lambda: WalkConfig(alpha=nan), "alpha"),
+                 (lambda: WalkConfig(alpha=inf), "alpha"),
+                 (lambda: WalkConfig(alpha=-inf), "alpha"),
+                 (lambda: WalkConfig(alpha=1.0, max_steps=0), "max_steps"),
+                 (lambda: WalkConfig(alpha=1.0, max_steps=50.5), "max_steps"),
+                 (lambda: Thinned(q=0.0), "q"),
+                 (lambda: Thinned(q=1.5), "q"),
+                 (lambda: Thinned(transient=-1), "transient"),
+                 (lambda: Thinned(transient=2.5), "transient")]
+        for make, field in cases:
+            with pytest.raises(ValueError, match=field):
+                make()
+
+    def test_numpy_integers_accepted(self):
+        cfg = WalkConfig(alpha=1.0, max_steps=np.int64(5),
+                         mode=Thinned(transient=np.int32(2)))
+        assert cfg.max_steps == 5 and cfg.mode.transient == 2
