@@ -25,6 +25,10 @@ GOLDEN = {
         "f1776195ea9184d9acdfcd1ab45436679f5ac3cc67022fc0141dc0719e10e4dc",
     "arrays_generate_pa":
         "3c9fd80bd382518226304c26fff80fe24e04bd7aceb90988174c1d05a7c25687",
+    "arrays_generate_pa_bench":
+        "907048ce936d006b31fa2eebf096aa701868ced279536d4108958f2798f35e4e",
+    "arrays_generate_pa_lemire_reject":
+        "bcf2a0f7e7d734c055afb770deb9a3ed33a43933cb5569fd2a4d6c2f6492edb5",
     "arrays_generate_cm":
         "d3e8476c317e13e7cd45ed278b28fb02019ed31c7225dae18ed4136e7ed46bc6",
     "arrays_load_edge_list":
@@ -157,6 +161,13 @@ class TestGoldenOutputs:
         assert graph_sha(cm) == GOLDEN["arrays_generate_cm"]
         assert graph_sha(parsed) == GOLDEN["arrays_load_edge_list"]
         assert graph_sha(dw.Graph.load_npz(cache)) == GOLDEN["arrays_load_npz"]
+
+    def test_generate_pa_arrays_at_bench_scale(self, pa_graph):
+        """The bench and fixture graph, and a seed whose uniform picks make a
+        Lemire rejection in numpy's bounded-integer draw."""
+        reject = dw.generate_pa(dw.PAConfig(n=20_000, seed=184))
+        assert graph_sha(pa_graph) == GOLDEN["arrays_generate_pa_bench"]
+        assert graph_sha(reject) == GOLDEN["arrays_generate_pa_lemire_reject"]
 
 
 class TestGoldenDetect:
