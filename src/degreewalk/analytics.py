@@ -34,14 +34,19 @@ class StationaryDist:
         return float(self.probs.max())
 
 
+def _check_alpha(alpha: float) -> None:
+    """Reject a negative, NaN or infinite jump weight."""
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+
+
 def stationary(g: Graph, alpha: float) -> StationaryDist:
     """Stationary distribution of the walk: probs[i] = (d_i+alpha)/(2|E|+n*alpha).
 
     Requires alpha > 0, or alpha == 0 on a graph without isolated nodes
     (otherwise the walk's long-run distribution is undefined).
     """
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    _check_alpha(alpha)
     if alpha == 0.0 and (g.n == 0 or g.degrees.min() == 0):
         raise ValueError("alpha=0 with an isolated node: stationary law undefined")
     denom = 2.0 * g.m_edges + g.n * alpha
@@ -50,8 +55,7 @@ def stationary(g: Graph, alpha: float) -> StationaryDist:
 
 def jump_probability(g: Graph, alpha: float) -> float:
     """Steady-state probability that a step is a jump: n*alpha/(2|E|+n*alpha)."""
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    _check_alpha(alpha)
     if alpha == 0.0:
         return 0.0
     return g.n * alpha / (2.0 * g.m_edges + g.n * alpha)
@@ -74,6 +78,7 @@ def return_time_from_constants(n: float, avg_degree: float, alpha: float,
 
 def transition_matrix(g: Graph, alpha: float) -> np.ndarray:
     """Dense one-step kernel: p_ij = (alpha/n + [i~j]) / (d_i + alpha)."""
+    _check_alpha(alpha)
     if g.n > _DENSE_CAP:
         raise ValueError(
             f"n={g.n} exceeds dense cap {_DENSE_CAP}; use Monte Carlo instead")
@@ -114,6 +119,7 @@ def hitting_time_exact(g: Graph, alpha: float, target: int,
         start node, or a length-n probability vector. Mass on the target
         contributes hitting time 0.
     """
+    _check_alpha(alpha)
     if not 0 <= target < g.n:
         raise IndexError(f"target {target} out of range [0, {g.n})")
     if g.n > _DENSE_CAP:

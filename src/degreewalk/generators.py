@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .graph import Graph
+
+# raw words per random_raw call when _pa_tree_targets replays a seed's draws
+_WORD_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -90,9 +94,23 @@ def generate_pa(cfg: PAConfig) -> Graph:
     probability 2E/(2E + A*t), else a uniform existing node. For
     -edges_per_node < A < 0 it falls back to rejection from the stub list.
 
+    Trees (edges_per_node == 1 and A >= 0, the paper's graphs) are built by
+    replaying the generator's draws from its raw words (_pa_tree_targets); the
+    offsets, neighbors and original_ids are identical, dtypes included, to
+    those of the per-node loop, which builds every other configuration.
+
     Returns:
         Graph with n nodes and roughly edges_per_node * n edges.
     """
+    if cfg.edges_per_node == 1 and cfg.attractiveness >= 0.0:
+        edges = np.stack([np.arange(1, cfg.n), _pa_tree_targets(
+            cfg.n, cfg.attractiveness, cfg.seed)], axis=1)
+        return Graph.from_edges(edges, n=cfg.n)
+    return _pa_loop(cfg)
+
+
+def _pa_loop(cfg: PAConfig) -> Graph:
+    """generate_pa as one draw per RNG call; the reference for _pa_tree_targets."""
     n, m, a = cfg.n, cfg.edges_per_node, cfg.attractiveness
     rng = np.random.default_rng(cfg.seed)
     src = np.empty(n * m, dtype=np.int64)
@@ -130,6 +148,75 @@ def generate_pa(cfg: PAConfig) -> Graph:
 
     edges = np.stack([src[:n_edges], dst[:n_edges]], axis=1)
     return Graph.from_edges(edges, n=n)
+
+
+def _pa_tree_targets(n: int, a: float, seed: int) -> np.ndarray:
+    """The node that each of nodes 1..n-1 joins in _pa_loop's tree, for
+    edges_per_node == 1 and a >= 0, replayed from the seed's raw words.
+
+    For each node t >= 2 the loop draws u = random() * (2(t-1) + a*t), where
+    random() is the top 53 bits of one 64-bit PCG64 word. u < 2(t-1) picks
+    stub int(u); otherwise integers(t) picks a uniform node by Lemire's
+    method, with rejection, on 32-bit halves: the low half of a fresh word
+    first, while the bit generator keeps the high half for the next 32-bit
+    draw. random() neither reads nor clears that kept half.
+
+    The words come from random_raw a chunk at a time, turned into random()'s
+    values in numpy; integers() reads its fresh words back from the chunk.
+    Stub 2(s-1) is node s and stub 2(s-1)+1 is node s's target, so the scan
+    records one stub per node (a uniform pick v as stub 2(v-1)) and pointer
+    jumping resolves the odd stubs, which copy an earlier node's target.
+    """
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    chunk = None
+
+    def doubles() -> list[float]:
+        """random() of each word of the next chunk, which stays in `chunk`."""
+        nonlocal chunk
+        chunk = raw(_WORD_CHUNK)
+        return ((chunk >> np.uint64(11)) * 2.0 ** -53).tolist()
+
+    # the loop's 2(t-1) + a*t, in the same float operations
+    scales = chain.from_iterable(
+        (2 * (t - 1) + a * t).tolist()
+        for t in (np.arange(lo, min(lo + _WORD_CHUNK, n))
+                  for lo in range(2, n, _WORD_CHUNK)))
+    words = chain.from_iterable(iter(doubles, None))
+    fresh_words = 0  # words integers() took, so word t-1+fresh_words is next
+    half = None  # the high half integers() keeps of its last fresh word
+    stubs = [-2]  # node 1 joins node 0
+    append = stubs.append
+    for total, r, scale in zip(range(2, 2 * n - 2, 2), words, scales):
+        u = r * scale
+        if u < total:
+            append(int(u))
+            continue
+        t = total // 2 + 1
+        while True:
+            if half is None:
+                next(words)
+                fresh = int(chunk[(t - 1 + fresh_words) % _WORD_CHUNK])
+                fresh_words += 1
+                x, half = fresh & 0xFFFFFFFF, fresh >> 32
+            else:
+                x, half = half, None
+            prod = x * t
+            # accept unless the low half falls below 2**32 mod t
+            if (prod & 0xFFFFFFFF) >= (0x100000000 - t) % t:
+                break
+        append(2 * (prod >> 32) - 2)
+
+    stub = np.array(stubs, dtype=np.int64)
+    owner = np.concatenate(([0], (stub >> 1) + 1))  # owner[0] is unused
+    up = np.arange(n)
+    copies = np.flatnonzero(stub & 1) + 1
+    up[copies] = owner[copies]
+    while True:  # until every node points at one that picked directly
+        nxt = up[up]
+        if np.array_equal(nxt, up):
+            break
+        up = nxt
+    return owner[up[1:]]
 
 
 def sample_degrees(tail: ParetoTail, n: int, rng: np.random.Generator) -> np.ndarray:

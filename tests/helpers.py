@@ -1,6 +1,7 @@
 """Shared test utilities: graph invariant checks, random graph builders and
 reference implementations that optimized code is compared against."""
 
+import math
 from collections import OrderedDict, deque
 from dataclasses import replace
 
@@ -23,6 +24,52 @@ def check_graph_invariants(g: Graph) -> None:
             assert u not in nbrs, f"self-loop at {u}"
         for v in nbrs:
             assert u in g.neighbors_of(int(v)), f"asymmetric edge {u}-{v}"
+
+
+class PCG64Replay:
+    """numpy's Generator.random() and integers(high) rebuilt from the raw
+    words of default_rng(seed), one word at a time, counting the draws that
+    Lemire's bounded-integer method rejects.
+
+    random() is the top 53 bits of a word. integers(high), for
+    2 <= high < 2**32, takes 32-bit halves: the low half of a new word, then
+    the high half on the next call; random() leaves that kept half alone.
+    """
+
+    def __init__(self, seed: int):
+        self._raw = np.random.default_rng(seed).bit_generator.random_raw
+        self._kept = None
+        self.rejections = 0
+
+    def _uint32(self) -> int:
+        if self._kept is not None:
+            half, self._kept = self._kept, None
+            return half
+        word = int(self._raw())
+        self._kept = word >> 32
+        return word & 0xFFFFFFFF
+
+    def random(self) -> float:
+        return math.ldexp(int(self._raw()) >> 11, -53)
+
+    def integers(self, high: int) -> int:
+        threshold = 2 ** 32 % high
+        while True:
+            scaled = self._uint32() * high
+            if scaled % 2 ** 32 >= threshold:
+                return scaled >> 32
+            self.rejections += 1
+
+
+def pa_tree_rejections(n: int, attractiveness: float, seed: int) -> int:
+    """Lemire rejections among the uniform picks that generate_pa draws for
+    PAConfig(n, 1, attractiveness, seed), attractiveness >= 0."""
+    rng = PCG64Replay(seed)
+    for t in range(2, n):
+        total = 2 * (t - 1)
+        if rng.random() * (total + attractiveness * t) >= total:
+            rng.integers(t)
+    return rng.rejections
 
 
 def from_edges_reference(edges, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,13 @@ class TestExitCodes:
     def test_nan_alpha_is_runtime_error(self, star_file, capsys):
         assert main(["analyze", "stationary", star_file, "--alpha", "nan"]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    def test_bad_alpha_hitting_names_alpha(self, alpha, pa_file, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["analyze", "hitting", pa_file, f"--alpha={alpha}"]) == 2
+        assert "alpha must be finite and >= 0" in capsys.readouterr().err
 
     def test_k_larger_than_n(self, star_file, capsys):
         rc = main(["detect", star_file, "--k", "10", "--rule", "fixed",

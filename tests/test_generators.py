@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import degreewalk as dw
-from degreewalk.generators import pair_stubs, sample_degrees
+from degreewalk import generators
+from degreewalk.generators import _pa_loop, pair_stubs, sample_degrees
 
-from helpers import check_graph_invariants, is_connected
+from helpers import (PCG64Replay, check_graph_invariants, is_connected,
+                     pa_tree_rejections)
 
 PA_TAIL = dw.ParetoTail(gamma=2.5, c=3.7, x_prime=3.7 ** 0.4)
 
@@ -59,6 +61,50 @@ class TestPreferentialAttachment:
                                        attractiveness=-0.5, seed=8))
         check_graph_invariants(g)
         assert is_connected(g)
+
+
+def assert_same_as_loop(cfg: dw.PAConfig) -> None:
+    fast, loop = dw.generate_pa(cfg), _pa_loop(cfg)
+    for name in ("offsets", "neighbors", "original_ids"):
+        got, want = getattr(fast, name), getattr(loop, name)
+        assert got.dtype == want.dtype, (name, cfg)
+        assert np.array_equal(got, want), (name, cfg)
+
+
+class TestPATreeReplay:
+    """Trees (one edge per node, attractiveness >= 0) replay the loop's draws
+    from raw PCG64 words; _pa_loop is the oracle. If a numpy release changes
+    these streams, fix the replay, not the golden hashes."""
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("n, seeds", [
+        (2, range(5)), (3, range(10)), (4, range(10)), (50, range(20)),
+        (2000, range(5)), (20_000, [7, 184])])
+    def test_identical_to_loop(self, n, seeds, a):
+        for seed in seeds:
+            assert_same_as_loop(dw.PAConfig(n=n, attractiveness=a, seed=seed))
+
+    def test_identical_across_word_chunks(self, monkeypatch):
+        # 7-word chunks put many integers() words first in a fresh chunk
+        monkeypatch.setattr(generators, "_WORD_CHUNK", 7)
+        for seed in range(5):
+            assert_same_as_loop(dw.PAConfig(n=2000, attractiveness=3.0, seed=seed))
+
+    def test_word_replay_matches_numpy(self):
+        # bounds just over 2**31 reject about half their first draws
+        highs = [2, 3, 7, 20_000, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1]
+        for seed in range(3):
+            rng, replay = np.random.default_rng(seed), PCG64Replay(seed)
+            for i in range(300):
+                high = highs[i % len(highs)]
+                assert replay.integers(high) == rng.integers(high)
+                if i % 3:
+                    assert replay.random() == rng.random()
+            assert replay.rejections > 0
+
+    def test_pinned_seed_draws_a_lemire_rejection(self):
+        # the golden hash arrays_generate_pa_lemire_reject covers this branch
+        assert pa_tree_rejections(20_000, 0.5, seed=184) >= 1
 
 
 class TestParetoTail:
