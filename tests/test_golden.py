@@ -27,6 +27,8 @@ GOLDEN = {
         "3c9fd80bd382518226304c26fff80fe24e04bd7aceb90988174c1d05a7c25687",
     "arrays_generate_pa_bench":
         "907048ce936d006b31fa2eebf096aa701868ced279536d4108958f2798f35e4e",
+    "text_generate_pa_bench":
+        "7c4772da719f7a34dbdd8d78809298b02406bcc0548b0ad4dad35826462ac197",
     "arrays_generate_pa_lemire_reject":
         "bcf2a0f7e7d734c055afb770deb9a3ed33a43933cb5569fd2a4d6c2f6492edb5",
     "arrays_generate_cm":
@@ -168,6 +170,12 @@ class TestGoldenOutputs:
         reject = dw.generate_pa(dw.PAConfig(n=20_000, seed=184))
         assert graph_sha(pa_graph) == GOLDEN["arrays_generate_pa_bench"]
         assert graph_sha(reject) == GOLDEN["arrays_generate_pa_lemire_reject"]
+
+    def test_edge_text_at_bench_scale(self, pa_graph):
+        """The bench graph's text, as the bench writes it: many formatting
+        chunks and ids of 1 to 6 digits."""
+        text = "\n".join(pa_graph.to_edge_lines()) + "\n"
+        assert sha(text) == GOLDEN["text_generate_pa_bench"]
 
 
 class TestGoldenDetect:
