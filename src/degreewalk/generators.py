@@ -32,12 +32,13 @@ class ParetoTail:
     x_prime: float
 
     def __post_init__(self):
-        if self.gamma <= 1.0:
-            raise ValueError(f"tail exponent gamma must be > 1, got {self.gamma}")
-        if self.c <= 0.0:
-            raise ValueError(f"scale c must be > 0, got {self.c}")
-        if self.x_prime <= 0.0:
-            raise ValueError(f"cutoff x_prime must be > 0, got {self.x_prime}")
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError(
+                f"tail exponent gamma must be finite and > 1, got {self.gamma}")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"scale c must be finite and > 0, got {self.c}")
+        if not 0.0 < self.x_prime < math.inf:
+            raise ValueError(f"cutoff x_prime must be finite and > 0, got {self.x_prime}")
         if self.survival(self.x_prime) > 1.0 + 1e-12:
             raise ValueError(
                 f"c * x_prime**-gamma = {self.survival(self.x_prime):.4g} exceeds 1; "
@@ -70,9 +71,11 @@ class PAConfig:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.edges_per_node < 1:
             raise ValueError(f"edges_per_node must be >= 1, got {self.edges_per_node}")
-        if self.attractiveness < -self.edges_per_node:
-            raise ValueError(
-                f"attractiveness must be >= -edges_per_node, got {self.attractiveness}")
+        # at -edges_per_node every weight of the first m + 1 nodes is 0,
+        # and the rejection loop never accepts a target
+        if not -self.edges_per_node < self.attractiveness < math.inf:
+            raise ValueError("attractiveness must be finite and > -edges_per_node, "
+                             f"got {self.attractiveness}")
 
 
 @dataclass(frozen=True)

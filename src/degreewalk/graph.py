@@ -11,6 +11,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -19,6 +20,11 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # largest n for which the CSR sort key u*n+v (at most n*n-1) fits in int64
 _MAX_NODES = math.isqrt(_INT64_MAX)
 _CACHE_MEMBERS = ("offsets", "neighbors", "original_ids")
+# edges formatted per numpy pass by Graph.to_edge_lines
+_EDGE_CHUNK = 2 ** 16
+# 10**1 up to the largest power of ten each digit type holds
+_POW10 = {t: 10 ** np.arange(1, len(str(np.iinfo(t).max)), dtype=t)
+          for t in (np.uint32, np.uint64)}
 
 
 class EdgeListParseError(ValueError):
@@ -114,13 +120,31 @@ class Graph:
         """Render the edge list in the text format accepted by ingestion.
 
         Each undirected edge appears once as "u v" with dense u < v, ordered
-        by (u, v).
+        by (u, v). Lines are formatted in numpy, about _EDGE_CHUNK edges at a
+        time.
         """
-        ids = self.original_ids if original_ids else np.arange(self.n)
-        src = np.repeat(np.arange(self.n), self.degrees)
-        keep = src < self.neighbors
-        yield from map("{} {}".format, ids[src[keep]].tolist(),
-                       ids[self.neighbors[keep]].tolist())
+        ids = self.original_ids if original_ids else np.arange(self.n, dtype=np.int64)
+        return chain.from_iterable(text.splitlines() for text in self._edge_texts(ids))
+
+    def _edge_texts(self, ids: np.ndarray) -> Iterator[str]:
+        """The edge lines as one text per 2 * _EDGE_CHUNK arcs (about
+        _EDGE_CHUNK edges), each line ending in "\\n"."""
+        off, nbr = self.offsets, self.neighbors
+        if not len(nbr):
+            return
+        udt = np.uint64 if max(int(ids.max()), -int(ids.min())) >= 2 ** 32 else np.uint32
+        for start in range(0, len(nbr), 2 * _EDGE_CHUNK):
+            stop = min(start + 2 * _EDGE_CHUNK, len(nbr))
+            # the source node of each arc in [start, stop)
+            first = int(np.searchsorted(off, start, side="right")) - 1
+            last = int(np.searchsorted(off, stop, side="left"))
+            src = np.repeat(np.arange(first, last),
+                            np.diff(np.clip(off[first:last + 1], start, stop)))
+            dst = nbr[start:stop]
+            at = np.flatnonzero(src < dst)
+            if len(at):
+                pairs = np.column_stack((src.take(at), dst.take(at)))
+                yield _edge_text(ids.take(pairs), udt)
 
     # -- binary cache ------------------------------------------------------
 
@@ -163,6 +187,32 @@ class Graph:
         else:
             return g
         raise ValueError(f"graph cache {path}: {fault}")
+
+
+def _edge_text(pairs: np.ndarray, udt: type) -> str:
+    """Format (u, v) int64 id pairs as "u v\\n" lines, each id exactly as
+    str() writes it. Digits are taken with udt (np.uint32 or np.uint64)
+    arithmetic, which must hold every |id|."""
+    ids = pairs.ravel()
+    neg = ids < 0
+    mag = np.abs(ids).astype(udt)  # abs(-2**63) wraps, and casts to 2**63
+    width = np.searchsorted(_POW10[udt], mag, side="right") + 1 + neg
+    w = int(width.max())
+    # one row per id: right-aligned in w columns, then its separator
+    rows = np.empty((len(ids), w + 1), dtype=np.uint8)
+    rows[0::2, w] = ord(" ")
+    rows[1::2, w] = ord("\n")
+    ten = udt(10)
+    for j in range(w - 1, -1, -1):
+        quot = mag // ten
+        np.add(mag - quot * ten, ord("0"), out=rows[:, j], casting="unsafe")
+        mag = quot
+    lead = w - width
+    rows[np.flatnonzero(neg), lead[neg]] = ord("-")
+    # row i keeps columns lead[i]..w: one take from a (w+1)^2 table is ~4x
+    # faster than broadcasting the comparison over rows of w+1 bytes
+    cols = np.arange(w + 1)
+    return rows[(cols >= cols[:, None]).take(lead, axis=0)].tobytes().decode("ascii")
 
 
 def ingest_edge_list(lines: Iterable[str]) -> Graph:

@@ -96,6 +96,31 @@ class TestExitCodes:
             assert main(["analyze", "hitting", pa_file, f"--alpha={alpha}"]) == 2
         assert "alpha must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_attract_named(self, value, capsys):
+        assert main(["generate", "pa", "--n", "6", "--attract", value, "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "attractiveness must be finite" in captured.err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["generate", "cm", "--n", "50", "--gamma", "nan", "--c", "1", "--xprime", "1"],
+         "gamma"),
+        (["generate", "cm", "--n", "50", "--gamma", "2.5", "--c", "nan", "--xprime", "1"],
+         "c"),
+        (["generate", "cm", "--n", "50", "--gamma", "2.5", "--c", "1", "--xprime", "nan"],
+         "x_prime"),
+        (["generate", "cm", "--n", "50", "--gamma", "2.5", "--c", "1", "--xprime", "inf"],
+         "x_prime"),
+        (["estimate", "evt", "--k", "3", "--n", "1000", "--gamma", "nan", "--c", "1"],
+         "gamma"),
+    ])
+    def test_non_finite_tail_named(self, argv, field, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f" {field} must be finite" in captured.err
+
     def test_k_larger_than_n(self, star_file, capsys):
         rc = main(["detect", star_file, "--k", "10", "--rule", "fixed",
                    "--m", "5"])

@@ -56,6 +56,17 @@ class TestPreferentialAttachment:
         with pytest.raises(ValueError):
             dw.PAConfig(n=10, edges_per_node=1, attractiveness=-1.5)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_attractiveness_minus_m_rejected(self, m):
+        """All starting weights would be 0 and the loop would never end."""
+        with pytest.raises(ValueError, match="> -edges_per_node"):
+            dw.PAConfig(n=10, edges_per_node=m, attractiveness=-m)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_attractiveness_named(self, value):
+        with pytest.raises(ValueError, match="attractiveness must be finite"):
+            dw.PAConfig(n=10, attractiveness=value)
+
     def test_negative_attractiveness_supported(self):
         g = dw.generate_pa(dw.PAConfig(n=300, edges_per_node=1,
                                        attractiveness=-0.5, seed=8))
@@ -115,6 +126,13 @@ class TestParetoTail:
             dw.ParetoTail(gamma=2.5, c=-1.0, x_prime=1.0)
         with pytest.raises(ValueError):  # survival > 1 at the cutoff
             dw.ParetoTail(gamma=2.5, c=3.7, x_prime=1.0)
+
+    @pytest.mark.parametrize("field", ["gamma", "c", "x_prime"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_named(self, field, value):
+        params = {"gamma": 2.5, "c": 1.0, "x_prime": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dw.ParetoTail(**params)
 
     def test_quantile_inverts_survival(self):
         tail = PA_TAIL

@@ -172,7 +172,7 @@ class TestGoldenOutputs:
         assert graph_sha(reject) == GOLDEN["arrays_generate_pa_lemire_reject"]
 
     def test_edge_text_at_bench_scale(self, pa_graph):
-        """The bench graph's text, as the bench writes it: many formatting
+        """The bench graph's text, as the bench writes it: two formatting
         chunks and ids of 1 to 6 digits."""
         text = "\n".join(pa_graph.to_edge_lines()) + "\n"
         assert sha(text) == GOLDEN["text_generate_pa_bench"]

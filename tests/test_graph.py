@@ -13,6 +13,14 @@ from helpers import (CORRUPT_CACHES, check_graph_invariants, edge_lines_referenc
                      exact_top_k_sort, from_edges_reference,
                      random_connected_graph, star_graph)
 
+
+# any int64 id, drawing 0, 9, 10, the edges of 32-bit magnitude and the
+# int64 ends often; hypothesis spreads the rest over 1 to 19 digits
+INT64_IDS = st.one_of(
+    st.sampled_from([0, 9, 10, 2 ** 32 - 1, 2 ** 32, -(2 ** 32 - 1), -(2 ** 32),
+                     2 ** 63 - 1, -2 ** 63]),
+    st.integers(-2 ** 63, 2 ** 63 - 1))
+
 # edge-list files on which load_edge_list must agree with the line loop
 PARSE_CASES = {
     "snap_headers": b"# Undirected graph\n# Nodes: 4 Edges: 3\n"
@@ -315,7 +323,34 @@ class TestGraphConstruction:
             offsets, neighbors = from_edges_reference(edges, int(edges.max()) + 1)
             assert np.array_equal(inferred.offsets, offsets)
             assert np.array_equal(inferred.neighbors, neighbors)
-        relabelled = dw.Graph(g.offsets, g.neighbors, np.arange(n) * 7 + 3)
-        for original in (True, False):
-            assert (list(relabelled.to_edge_lines(original))
-                    == edge_lines_reference(relabelled, original))
+        wide = data.draw(st.lists(INT64_IDS, min_size=n, max_size=n))
+        for ids in (np.arange(n) * 7 + 3, np.array(wide, dtype=np.int64)):
+            relabelled = dw.Graph(g.offsets, g.neighbors, ids)
+            for original in (True, False):
+                assert (list(relabelled.to_edge_lines(original))
+                        == edge_lines_reference(relabelled, original))
+
+
+class TestEdgeLines:
+    def test_all_isolated_yields_no_lines(self):
+        for n in (0, 1, 5):
+            g = dw.Graph.from_edges(np.empty((0, 2), dtype=np.int64), n=n)
+            assert list(g.to_edge_lines()) == []
+            assert list(g.to_edge_lines(original_ids=False)) == []
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    def test_lines_across_chunks(self, chunk, monkeypatch):
+        """Chunks that split a hub's arcs, hold no u < v arc or start at
+        isolated nodes; ids of both signs and every width."""
+        monkeypatch.setattr(graph_mod, "_EDGE_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        edges = np.concatenate([np.stack([np.zeros(9, np.int64), np.arange(1, 10)], axis=1),
+                                rng.integers(12, 22, size=(15, 2))])
+        g = dw.Graph.from_edges(edges, n=24)
+        pool = [0, 9, 10, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, -2 ** 63]
+        pool += [(-1) ** i * 10 ** i for i in range(19)]
+        ids = rng.choice(np.array(pool, dtype=np.int64), size=g.n, replace=False)
+        for relabelled in (g, dw.Graph(g.offsets, g.neighbors, ids)):
+            for original in (True, False):
+                assert (list(relabelled.to_edge_lines(original))
+                        == edge_lines_reference(relabelled, original))
