@@ -1,9 +1,9 @@
 """Closed-form analytics for the jumping random walk.
 
-Stationary distribution, steady-state jump probability, exact and
-asymptotic expected hitting times to the top node, extreme-value
-predictors for the largest degrees under a Pareto tail, and the Poisson
-machinery behind the stopping rules.
+Stationary distribution, steady-state jump probability, exact (conjugate
+gradients, any n) and asymptotic expected hitting times to the top node,
+extreme-value predictors for the largest degrees under a Pareto tail, and
+the Poisson machinery behind the stopping rules.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ import numpy as np
 from .graph import Graph, exact_top_k
 from .generators import ParetoTail
 
-# most nodes the dense kernel accepts: hitting_time_exact's solve is O(n^3)
+# most nodes transition_matrix accepts: it builds an n x n array
 _DENSE_CAP = 2000
+_CG_RTOL = 1e-12  # hitting_time_exact's CG stops at residual norm _CG_RTOL * |w|
+_CG_SLACK = 100  # iterations allowed beyond the n - 1 of exact arithmetic
 
 
 class UnreachableTargetError(RuntimeError):
@@ -108,10 +110,10 @@ def _reaches_target(g: Graph, target: int) -> bool:
 
 def hitting_time_exact(g: Graph, alpha: float, target: int,
                        nu: int | np.ndarray | None = None) -> float:
-    """Exact expected hitting time to `target` by a dense linear solve.
+    """Exact expected hitting time to `target` by conjugate gradients, any n.
 
-    Solves (I - P_t) h = 1 where P_t is the kernel with the target's row
-    and column removed, then averages h under the initial distribution.
+    Solves (D_w - A - (alpha/n) 11^T) h = w = d + alpha, target row and column
+    zeroed, by CG (Hestenes & Stiefel 1952); the walk's reversibility makes it SPD.
 
     Parameters
     ----------
@@ -122,23 +124,32 @@ def hitting_time_exact(g: Graph, alpha: float, target: int,
     _check_alpha(alpha)
     if not 0 <= target < g.n:
         raise IndexError(f"target {target} out of range [0, {g.n})")
-    if g.n > _DENSE_CAP:
-        raise ValueError(
-            f"n={g.n} exceeds dense cap {_DENSE_CAP}; use Monte Carlo instead")
-    if alpha == 0.0:
-        if g.degrees.min() == 0 or not _reaches_target(g, target):
-            raise UnreachableTargetError(
-                "unreachable target: alpha=0 and the graph does not connect "
-                "every node to the target")
-    P = transition_matrix(g, alpha)
-    idx = np.delete(np.arange(g.n), target)
-    A = np.eye(g.n - 1) - P[np.ix_(idx, idx)]
-    b = np.ones(g.n - 1)
-    try:
-        h = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise UnreachableTargetError(f"singular hitting-time system: {exc}") from exc
-    if not np.all(np.isfinite(h)) or np.max(np.abs(A @ h - b)) > 1e-6 * max(1.0, np.abs(h).max()):
+    if alpha == 0.0 and (g.degrees.min() == 0 or not _reaches_target(g, target)):
+        raise UnreachableTargetError(
+            "unreachable target: alpha=0 and the graph does not connect "
+            "every node to the target")
+    w = g.degrees + alpha
+    src = np.repeat(np.arange(g.n), g.degrees)
+
+    def kernel(x):  # x[target] is 0 on every call, so only its row is zeroed
+        y = w * x - np.bincount(src, x[g.neighbors], g.n) - alpha / g.n * x.sum()
+        y[target] = 0.0
+        return y
+
+    b = np.where(np.arange(g.n) == target, 0.0, w)
+    h, r, p = np.zeros(g.n), b.copy(), b.copy()
+    rr, tol = b @ b, _CG_RTOL ** 2 * (b @ b)
+    for _ in range(g.n + _CG_SLACK):
+        if rr <= tol:
+            break
+        kp = kernel(p)
+        step = rr / (p @ kp)
+        h += step * p
+        r -= step * kp
+        rr, rr_old = r @ r, rr
+        p = r + rr / rr_old * p
+    if not (rr <= tol and np.isfinite(h).all()
+            and np.abs(kernel(h) - b).max() <= 1e-6 * max(1.0, np.abs(h).max())):
         raise UnreachableTargetError("singular hitting-time system: solve did not converge")
 
     if nu is None:
@@ -147,16 +158,13 @@ def hitting_time_exact(g: Graph, alpha: float, target: int,
         start = int(nu)
         if not 0 <= start < g.n:
             raise IndexError(f"start node {start} out of range [0, {g.n})")
-        if start == target:
-            return 0.0
-        pos = start - 1 if start > target else start
-        return float(h[pos])
+        return float(h[start])
     nu = np.asarray(nu, dtype=np.float64)
     if nu.shape != (g.n,):
         raise ValueError(f"nu must have length n={g.n}")
     if abs(nu.sum() - 1.0) > 1e-9 or nu.min() < 0.0:
         raise ValueError("nu must be a probability vector")
-    return float(nu[idx] @ h)
+    return float(nu @ h)
 
 
 def hitting_time_asymptotic(g: Graph, alpha: float) -> float:

@@ -184,7 +184,9 @@ def _cmd_analyze(args) -> int:
 # -- estimate -------------------------------------------------------------------
 
 def _cmd_estimate(args) -> int:
-    x_prime = args.xprime if args.xprime is not None else args.c ** (1.0 / args.gamma)
+    x_prime = args.xprime
+    if x_prime is None:  # ParetoTail rejects gamma <= 1 before it reads x_prime
+        x_prime = args.c ** (1.0 / args.gamma) if args.gamma > 1.0 else 1.0
     tail = generators.ParetoTail(gamma=args.gamma, c=args.c, x_prime=x_prime)
     pred = analytics.evt_predict(tail, args.n, args.k, max_variant=args.variant)
     lines = ["rank,predicted_degree"]

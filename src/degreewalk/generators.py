@@ -230,6 +230,8 @@ def sample_degrees(tail: ParetoTail, n: int, rng: np.random.Generator) -> np.nda
     x = np.full(n, float(floor_deg))
     in_tail = u < p_tail
     x[in_tail] = tail.quantile(u[in_tail])
+    if np.any(x >= 2.0 ** 63):
+        raise ValueError(f"x_prime={tail.x_prime:g}, c={tail.c:g} give degrees beyond int64")
     degs = np.ceil(x).astype(np.int64)
     return np.maximum(degs, floor_deg)
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from degreewalk import DegreeRecord, Graph
+from degreewalk.analytics import transition_matrix
 from degreewalk.detector import (rule1_threshold, stopping_rule_0,
                                  stopping_rule_1, stopping_rule_2)
 from degreewalk.walk import (EveryStep, Thinned, WalkStuckError, _walk,
@@ -145,6 +146,21 @@ def shared_rng_hitting_times(g: Graph, alpha: float, target: int,
                 steps = base + len(nodes)
         times.append(steps)
     return np.array(times, dtype=np.float64)
+
+
+def hitting_time_dense(g: Graph, alpha: float, target: int, nu=None) -> float:
+    """Oracle for hitting_time_exact: the dense solve it replaced. Solves
+    (I - P_t) h = 1 on the kernel with the target's row and column removed,
+    sets h[target] = 0 and averages h under nu (None, a node or a vector)."""
+    P = transition_matrix(g, alpha)
+    idx = np.delete(np.arange(g.n), target)
+    h = np.zeros(g.n)
+    h[idx] = np.linalg.solve(np.eye(g.n - 1) - P[np.ix_(idx, idx)], np.ones(g.n - 1))
+    if nu is None:
+        return float(h.mean())
+    if isinstance(nu, int):
+        return float(h[nu])
+    return float(nu @ h)
 
 
 class _TablesReference:

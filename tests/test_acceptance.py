@@ -106,8 +106,14 @@ def test_ac4_benchmark_scale_hitting_time(pa_graph):
     assert summary["timeouts"] == 0
     assert 0.8 <= ratio <= 2.0
     assert elapsed < 600.0
+    steps = np.array([s for _, s in rows], dtype=np.float64)
+    se = steps.std(ddof=1) / np.sqrt(len(steps))
+    exact = hitting_time_exact(pa_graph, 2.0, summary["target"])
+    z = abs(summary["mean"] - exact) / se
+    assert z <= 3.0, f"mc={summary['mean']:.1f} exact={exact:.1f} se={se:.1f}"
     print(f"\nAC4 PASS: mean={summary['mean']:.0f}, return_time={ret:.0f}, "
-          f"ratio={ratio:.3f} in [0.8,2.0], {elapsed:.1f}s")
+          f"ratio={ratio:.3f} in [0.8,2.0], exact={exact:.1f}, |z|={z:.2f}, "
+          f"{elapsed:.1f}s")
 
 
 def test_ac5_stopping_rule_2_economy(pa_graph):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import degreewalk as dw
+from degreewalk import analytics
 from degreewalk.analytics import (UnreachableTargetError, evt_predict,
                                   expected_correct_count,
                                   expected_return_time_max,
@@ -12,10 +13,30 @@ from degreewalk.analytics import (UnreachableTargetError, evt_predict,
                                   return_time_from_constants, stationary,
                                   transition_matrix)
 
-from helpers import (random_connected_graph, shared_rng_hitting_times,
-                     star_graph)
+from helpers import (hitting_time_dense, random_connected_graph,
+                     shared_rng_hitting_times, star_graph)
 
 PA_TAIL = dw.ParetoTail(gamma=2.5, c=3.7, x_prime=3.7 ** 0.4)
+
+
+def _oracle_case(case: str):
+    """(graph, alpha, target) of a named hitting-time case: AC3's graphs with
+    its n, seed and alpha formula, the star S100, and an isolated node."""
+    kind, _, arg = case.partition("_")
+    if kind == "ac3":
+        i = int(arg)
+        g = random_connected_graph(int(20 + (i * 37) % 180), 6.0, seed=100 + i)
+        alpha = 0.5 if i % 2 == 0 else g.average_degree()
+        return g, alpha, dw.exact_top_k(g, 1)[0].node
+    if kind == "s100":
+        return star_graph(100), float(arg), 0
+    # node 4 is isolated and reached only by jumps; target it or node 2
+    g = dw.Graph.from_edges(np.array([[0, 1], [1, 2], [2, 0], [2, 3]]), n=5)
+    return g, 0.7, int(arg)
+
+
+ORACLE_CASES = ([f"ac3_{i}" for i in range(20)] + ["s100_0", "s100_1"]
+                + ["isolated_2", "isolated_4"])
 
 
 class TestStationary:
@@ -119,7 +140,23 @@ class TestHittingTimeExact:
 
     def test_dense_cap(self, pa_graph):
         with pytest.raises(ValueError, match="Monte Carlo"):
-            hitting_time_exact(pa_graph, 1.0, 0)
+            transition_matrix(pa_graph, 1.0)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_equals_dense_oracle(self, case):
+        g, alpha, target = _oracle_case(case)
+        nu_vec = np.random.default_rng(g.n).random(g.n)
+        nu_vec /= nu_vec.sum()  # puts mass on the target too
+        for nu in (None, 0, g.n - 1, nu_vec):
+            assert hitting_time_exact(g, alpha, target, nu=nu) == pytest.approx(
+                hitting_time_dense(g, alpha, target, nu), rel=1e-9)
+        assert hitting_time_exact(g, alpha, target, nu=target) == 0.0
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        g = random_connected_graph(50, 5.0, seed=17)
+        monkeypatch.setattr(analytics, "_CG_SLACK", 1 - g.n)  # one iteration
+        with pytest.raises(UnreachableTargetError, match="did not converge"):
+            hitting_time_exact(g, 1.0, 0)
 
     def test_bad_nu(self, star4):
         with pytest.raises(ValueError):

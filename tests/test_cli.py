@@ -121,6 +121,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert f" {field} must be finite" in captured.err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["estimate", "evt", "--k", "3", "--n", "1000", "--gamma", "0", "--c", "1"],
+         "gamma"),
+        (["generate", "cm", "--n", "50", "--gamma", "2.5", "--c", "1", "--xprime", "1e300"],
+         "x_prime"),
+    ])
+    def test_tail_arithmetic_error_named(self, argv, field, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and field in captured.err
+
     def test_k_larger_than_n(self, star_file, capsys):
         rc = main(["detect", star_file, "--k", "10", "--rule", "fixed",
                    "--m", "5"])
@@ -258,6 +270,15 @@ class TestAnalyze:
                    "--nu", "node:1"])
         assert rc == 0
         assert "hitting_time=1.0" in capsys.readouterr().out
+
+    def test_hitting_beyond_dense_cap(self, tmp_path, capsys):
+        g = dw.generate_pa(dw.PAConfig(n=5000, edges_per_node=1, seed=3))
+        path = tmp_path / "pa5000.txt"
+        path.write_text("\n".join(g.to_edge_lines()) + "\n")
+        assert main(["analyze", "hitting", str(path), "--alpha", "2"]) == 0
+        target = dw.exact_top_k(g, 1)[0].node
+        want = dw.hitting_time_exact(g, 2.0, target)
+        assert f"hitting_time={want!r} target={target}" in capsys.readouterr().out
 
     def test_bad_nu_spec(self, star_file, capsys):
         for spec in ("everywhere", "node:abc"):
