@@ -223,8 +223,8 @@ def evt_predict(tail: ParetoTail, n: int, k: int,
     gamma, c = tail.gamma, tail.c
     if gamma <= 1.0:
         raise ValueError(f"gamma must be > 1 (finite mean), got {gamma}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, n={n}], got {k}")
     if max_variant not in _MAX_VARIANTS:
         raise ValueError(f"max_variant must be one of {_MAX_VARIANTS}")
     delta = 1.0 / gamma

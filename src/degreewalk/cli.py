@@ -114,7 +114,8 @@ def _cmd_ingest(args) -> int:
 # -- detect -------------------------------------------------------------------
 
 def _rule_threshold(rule: str, m, a_bar, b_bar):
-    """The value of the threshold flag for `rule`; UsageError if missing or extra."""
+    """The value of the threshold flag for `rule`; UsageError if missing or
+    extra, ValueError if out of the rule's range."""
     given = {"--m": m, "--a-bar": a_bar, "--b-bar": b_bar}
     needed = {"fixed": "--m", "r0": "--a-bar", "r1": "--a-bar", "r2": "--b-bar"}[rule]
     for flag, value in given.items():
@@ -122,6 +123,8 @@ def _rule_threshold(rule: str, m, a_bar, b_bar):
             raise UsageError(f"rule {rule} requires {flag}")
         if flag != needed and value is not None:
             raise UsageError(f"rule {rule} does not take {flag}")
+    if rule != "fixed":
+        detector.check_rule_threshold(rule, given[needed])
     return given[needed]
 
 

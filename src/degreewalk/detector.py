@@ -144,12 +144,22 @@ def stopping_rule_0(lst: CandidateList, a_bar: float) -> bool:
     return error_score(lst.member_hits()) <= a_bar
 
 
+def check_rule_threshold(rule: str, threshold: float) -> None:
+    """ValueError naming the threshold unless it suits `rule`: a_bar (r0,
+    r1) must lie in (0, 2), as the error scores lie in [0, 2], and b_bar
+    (r2) must be finite."""
+    if rule == "r2":
+        if not math.isfinite(threshold):
+            raise ValueError(f"b_bar must be finite, got {threshold}")
+    elif not 0.0 < threshold < 2.0:
+        raise ValueError(f"a_bar must be in (0, 2), got {threshold}")
+
+
 def rule1_threshold(k: int, a_bar: float) -> int:
     """Smallest natural x with (1 - exp(-x))^k >= 1 - a_bar/2."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not 0.0 < a_bar < 2.0:
-        raise ValueError(f"a_bar must be in (0, 2), got {a_bar}")
+    check_rule_threshold("r1", a_bar)
     goal = 1.0 - a_bar / 2.0
     x = 1
     while (1.0 - math.exp(-x)) ** k < goal:
@@ -256,10 +266,12 @@ def detect_with_rule(g: Graph, cfg: WalkConfig, k: int, rule: str,
     hit floor x0 from it and records that) or "r2" (threshold is b_bar).
     The rule is evaluated on the empty list first, so an already-satisfied
     threshold fires at zero cost, and then after every sample. A run that
-    exhausts max_steps is returned with fired=False.
+    exhausts max_steps is returned with fired=False. A threshold that
+    `check_rule_threshold` rejects raises ValueError before any walking.
     """
     if rule not in _RULES:
         raise ValueError(f"rule must be one of {tuple(_RULES)}, got {rule!r}")
+    check_rule_threshold(rule, threshold)
     recorded = float(rule1_threshold(k, threshold)) if rule == "r1" else threshold
     rule_fn = _RULES[rule]
     return _run_list(g, cfg, k, rule, recorded, stop_sample=None,

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import Graph
+from .graph import _MAX_NODES, Graph
 
 # raw words per random_raw call when _pa_tree_targets replays a seed's draws
 _WORD_CHUNK = 1 << 16
@@ -67,8 +67,7 @@ class PAConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        _check_node_count(self.n)
         if self.edges_per_node < 1:
             raise ValueError(f"edges_per_node must be >= 1, got {self.edges_per_node}")
         # at -edges_per_node every weight of the first m + 1 nodes is 0,
@@ -85,8 +84,14 @@ class ConfigModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        _check_node_count(self.n)
+
+
+def _check_node_count(n: int) -> None:
+    # Graph.from_edges refuses more nodes, so a larger n would fail only
+    # after every edge had been drawn
+    if not 2 <= n <= _MAX_NODES:
+        raise ValueError(f"n must be in [2, {_MAX_NODES}], got {n}")
 
 
 def generate_pa(cfg: PAConfig) -> Graph:

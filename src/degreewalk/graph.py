@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
@@ -269,22 +270,26 @@ def _graph_from_raw_edges(raw_edges: np.ndarray) -> Graph:
                             original_ids=original_ids)
 
 
-# The only bytes the vectorized parse accepts outside comment lines. Every
-# token is then a sign and digits, which np.loadtxt and int() read alike;
-# numpy 1.x's loadtxt also reads an int field such as "1.0" through float.
+# The only bytes the vectorized parse accepts outside comment lines
 _EDGE_BYTES = b"0123456789+- \t\r\n"
+_ID_BYTES = b"0123456789+-"
 _COMMENT_LINE = re.compile(rb"\n#[^\n]*")
+_TAB_TO_BLANK = bytes.maketrans(b"\t", b" ")
+# digits to "0" and "-" to "+", so that one pattern finds a misplaced sign
+_SIGN_MARKS = bytes.maketrans(b"0123456789-", b"0000000000+")
 
 
 def _parse_edges_fast(data: bytes) -> np.ndarray | None:
     """Parse edge-list bytes in one vectorized pass.
 
-    Comment lines must start with '#' in the first column. Returns the
-    (m, 2) int64 edges, or None for any input this pass does not fully
-    validate: non-ASCII bytes, a bare '\\r', any other '#', a byte outside
-    digits, signs and blanks, no edges, other than two columns, an id
-    outside int64, or a negative id. The line loop decides those, so
-    malformed input keeps its exact line number.
+    Comment lines must start with '#' in the first column. Ids may be
+    signed and padded by tabs, CRLF line ends, extra blanks and blank
+    lines. Returns the (m, 2) int64 edges, or None for any input this pass
+    does not fully validate: non-ASCII bytes, a bare '\\r', any other '#',
+    a byte outside digits, signs and blanks, no edges, a line without
+    exactly two ids, a sign that does not start an id, an id outside int64,
+    or a negative id. The line loop decides those, so malformed input
+    keeps its exact line number.
     """
     text = b"\n" + data  # a comment on the first line then also follows "\n"
     if not text.isascii():
@@ -293,15 +298,61 @@ def _parse_edges_fast(data: bytes) -> np.ndarray | None:
         return None
     if b"#" in text:
         text = _COMMENT_LINE.sub(b"", text)
-    if text.translate(None, _EDGE_BYTES) or text.isspace():
+    if text.translate(None, _EDGE_BYTES):
         return None
-    try:
-        edges = np.loadtxt(io.BytesIO(text), dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if edges.shape[1] != 2 or len(edges) == 0 or edges.min() < 0:
+    if not text.endswith(b"\n"):  # else "9 \n1" would pass as one "9 1" line
+        text += b"\n"
+    edges = _edge_pairs(text)
+    if edges is None:
+        # tabs become blanks. Every '\r' here precedes a '\n', so deleting
+        # it is the same as making it a blank at the end of its line. This
+        # one pass fixes tab-separated and CRLF text without the scans below.
+        text = text.translate(_TAB_TO_BLANK, b"\r")
+        edges = _edge_pairs(text)
+    if edges is None:  # runs of blanks, blanks at line ends, blank lines
+        while b"  " in text:
+            text = text.replace(b"  ", b" ")
+        text = text.replace(b" \n", b"\n").replace(b"\n ", b"\n")
+        while b"\n\n" in text:
+            text = text.replace(b"\n\n", b"\n")
+        edges = _edge_pairs(text)
+    if edges is None or edges.min() < 0:
         return None
     return edges
+
+
+def _edge_pairs(text: bytes) -> np.ndarray | None:
+    """The (m, 2) int64 ids of `text` when it is "\\n" followed by m >= 1
+    lines "u v\\n" of optionally signed decimal ids that fit int64, else
+    None. The separators left once the ids are deleted fix the line shape;
+    np.fromstring converts the ids."""
+    seps = text.translate(None, _ID_BYTES)
+    m = len(seps) // 2
+    if not m or seps != b"\n" + b" \n" * m:
+        return None
+    # np.fromstring reads a lone sign as 0, so each sign must start an id
+    # and precede a digit
+    if b"+" in text or b"-" in text:
+        marks = text.translate(_SIGN_MARKS)
+        if any(bad in marks for bad in (b"0+", b"++", b"+ ", b"+\n")):
+            return None
+    with warnings.catch_warnings():
+        # on a text it cannot read to its end, numpy 1.x returns what it read
+        # and warns; numpy 2.x raises
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            ids = np.fromstring(text, dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    if len(ids) != 2 * m:
+        return None
+    # np.fromstring saturates an id beyond int64 to the int64 maximum
+    at_max = np.flatnonzero(ids == _INT64_MAX).tolist()
+    if at_max:
+        tokens = text.split()
+        if any(int(tokens[i]) != _INT64_MAX for i in at_max):
+            return None
+    return ids.reshape(m, 2)
 
 
 def load_edge_list(path) -> Graph:

@@ -223,6 +223,11 @@ class TestEvtPredict:
         with pytest.raises(ValueError):
             evt_predict(PA_TAIL, 100_000, 2, max_variant="bogus")
 
+    @pytest.mark.parametrize("k", [0, 1001, 2 ** 63])
+    def test_rank_beyond_sample_size_rejected(self, k):
+        with pytest.raises(ValueError, match=r"k must be in \[1, n=1000\]"):
+            evt_predict(PA_TAIL, 1000, k)
+
     def test_infinite_mean_regime_rejected(self):
         class FakeTail:
             gamma, c, x_prime = 0.9, 1.0, 2.0

@@ -1,7 +1,12 @@
+import contextlib
+import io
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import degreewalk as dw
 from degreewalk.cli import build_parser, main
@@ -71,6 +76,22 @@ class TestExitCodes:
         """A flag error exits 1 even when the graph file does not exist."""
         assert main(command + ["/nonexistent/graph.txt"] + flags) == 1
         assert "usage error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["detect"], ["experiment", "stopping"]])
+    @pytest.mark.parametrize("flags, name", [
+        (["--rule", "r2", "--b-bar", "nan"], "b_bar"),
+        (["--rule", "r2", "--b-bar=-inf"], "b_bar"),
+        (["--rule", "r0", "--a-bar", "inf"], "a_bar"),
+        (["--rule", "r0", "--a-bar", "2"], "a_bar"),
+        (["--rule", "r1", "--a-bar", "nan"], "a_bar"),
+    ])
+    def test_bad_threshold_reported_before_graph_is_read(self, command, flags,
+                                                         name, capsys):
+        """A threshold out of its rule's range exits 2 naming it, even when
+        the graph file does not exist."""
+        assert main(command + ["/nonexistent/graph.txt", "--k", "1"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and "graph.txt" not in err
 
     def test_malformed_edge_list(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -353,6 +374,74 @@ class TestExperimentCommand:
         lines = out.read_text().splitlines()
         assert lines[1].startswith("trial,raw_steps,samples,correct_count")
         assert "mean_correct=" in capsys.readouterr().out
+
+
+# Every numeric flag of every subcommand, with arguments under which the
+# command is quick while no flag is hostile. {txt} and {npz} are a 300-node
+# PA graph as text and as a cache, {out} a scratch output file.
+_WALK_FLAGS = ["--alpha", "--q", "--transient", "--max-steps", "--seed", "--threads"]
+HOSTILE_COMMANDS = [
+    ("generate pa --n 300 --out {out}",
+     ["--n", "--edges-per-node", "--attract", "--seed", "--threads"]),
+    ("generate cm --n 300 --gamma 2.5 --c 1 --xprime 1 --out {out}",
+     ["--n", "--gamma", "--c", "--xprime", "--seed", "--threads"]),
+    ("ingest {txt}", ["--seed", "--threads"]),
+    ("detect {npz} --k 3 --rule fixed --m 200 --max-steps 5000",
+     ["--k", "--m"] + _WALK_FLAGS),
+    ("detect {npz} --k 3 --rule r0 --a-bar 0.5 --max-steps 5000", ["--k", "--a-bar"]),
+    ("detect {npz} --k 3 --rule r1 --a-bar 0.5 --max-steps 5000", ["--k", "--a-bar"]),
+    ("detect {npz} --k 3 --rule r2 --b-bar 2 --max-steps 5000",
+     ["--k", "--b-bar"] + _WALK_FLAGS),
+    ("analyze stationary {npz} --out {out}", ["--alpha", "--seed", "--threads"]),
+    ("analyze return-time {npz}", ["--alpha"]),
+    ("analyze hitting {npz}", ["--alpha", "--target"]),
+    ("estimate evt --gamma 2.5 --c 1 --n 1000 --k 5 --out {out}",
+     ["--gamma", "--c", "--xprime", "--n", "--k", "--seed", "--threads"]),
+    ("experiment hitting {npz} --runs 3 --max-steps 5000", ["--runs"] + _WALK_FLAGS),
+    ("experiment accuracy {npz} --runs 3 --k 3 --m-grid 10,50 --max-steps 5000",
+     ["--runs", "--k"] + _WALK_FLAGS),
+    ("experiment stopping {npz} --runs 3 --k 3 --rule r2 --b-bar 2 --max-steps 5000",
+     ["--runs", "--k", "--b-bar"] + _WALK_FLAGS),
+    ("experiment stopping {npz} --runs 3 --k 3 --rule r1 --a-bar 0.5 --max-steps 5000",
+     ["--a-bar"]),
+]
+HOSTILE_CASES = [(base, flag) for base, flags in HOSTILE_COMMANDS for flag in flags]
+HOSTILE_VALUES = ["0", "-1", "-7.5", "nan", "inf", "-inf", "1e300", "-1e300",
+                  str(2 ** 63), str(-2 ** 63 - 1)]
+# what a failing command prints: its one message line (argparse's own
+# names the command), or the timeout notice of a rule that did not fire
+MESSAGE_LINE = re.compile(r"(degreewalk[a-z -]*: error|error|usage error|timeout): ")
+
+
+@pytest.fixture(scope="module")
+def hostile_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile")
+    g = dw.generate_pa(dw.PAConfig(n=300, edges_per_node=1, seed=1))
+    files = {"txt": root / "pa.txt", "npz": root / "pa.npz", "out": root / "out.txt"}
+    files["txt"].write_text("\n".join(g.to_edge_lines()) + "\n")
+    g.save_npz(files["npz"])
+    return files
+
+
+class TestHostileFlags:
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from(HOSTILE_CASES), value=st.sampled_from(HOSTILE_VALUES))
+    def test_no_traceback_one_message(self, hostile_files, case, value):
+        base, flag = case
+        # 2**63 runs are valid input, only too many to wait for
+        assume(not (flag == "--runs" and value == str(2 ** 63)))
+        argv = base.format(**hostile_files).split()
+        if flag in argv:
+            del argv[argv.index(flag):argv.index(flag) + 2]
+        argv.append(f"{flag}={value}")  # "=": argparse reads "-inf" as a flag
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        messages = [line for line in err.getvalue().splitlines()
+                    if MESSAGE_LINE.match(line)]
+        assert "Traceback" not in err.getvalue()
+        assert code in (0, 1, 2)
+        assert len(messages) == (code != 0), (argv, err.getvalue())
 
 
 class TestHelp:

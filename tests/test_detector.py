@@ -318,9 +318,19 @@ class TestDetection:
         with pytest.raises(ValueError):
             detect_with_rule(star4, cfg, 2, "bogus", 1.0)
 
+    @pytest.mark.parametrize("rule, threshold, name", [
+        ("r0", float("nan"), "a_bar"), ("r0", float("inf"), "a_bar"),
+        ("r0", 0.0, "a_bar"), ("r0", 2.0, "a_bar"), ("r1", float("nan"), "a_bar"),
+        ("r2", float("nan"), "b_bar"), ("r2", float("inf"), "b_bar"),
+        ("r2", -float("inf"), "b_bar")])
+    def test_bad_threshold_rejected(self, star4, rule, threshold, name):
+        cfg = WalkConfig(alpha=1.0, seed=0, max_steps=10)
+        with pytest.raises(ValueError, match=name):
+            detect_with_rule(star4, cfg, 2, rule, threshold)
+
     @settings(max_examples=200, deadline=None)
-    # a_bar = 2.2: rule 0 fires once the list is full; unsampled visits fill
-    # it here, and the next sample, a rejected node, must re-score the rule
+    # a_bar = 2.2 lies past the error score's cap of 2, so rule 0 would fire
+    # on any full list; it is rejected before the walk
     @example(graph_seed=1, n=8, walk_seed=0, rule="r0", k_choice=3,
              thinned=True, transient=5, max_steps=300, level=0.872)
     @example(graph_seed=1, n=8, walk_seed=15, rule="r0", k_choice=3,
@@ -357,9 +367,13 @@ class TestDetection:
             threshold = 1 + int(level * 400)
             dec = detect_fixed_m_decision(g, cfg, k, threshold)
         else:
-            # r0 takes any a_bar, r1 only a_bar < 2
+            # r0 and r1 take a_bar in (0, 2); r0 is also drawn past 2
             a_bar_span = 2.5 if rule == "r0" else 1.9
             threshold = level * k if rule == "r2" else 0.02 + a_bar_span * level
+            if threshold >= 2.0 and rule == "r0":
+                with pytest.raises(ValueError, match="a_bar"):
+                    detect_with_rule(g, cfg, k, rule, threshold)
+                return
             dec = detect_with_rule(g, cfg, k, rule, threshold)
         got = (dec.fired, dec.fired_at_samples, dec.raw_steps,
                dec.final_list.entries())

@@ -67,6 +67,15 @@ class TestPreferentialAttachment:
         with pytest.raises(ValueError, match="attractiveness must be finite"):
             dw.PAConfig(n=10, attractiveness=value)
 
+    @pytest.mark.parametrize("n", [1, 3_037_000_500, 2 ** 63])
+    def test_node_count_out_of_graph_range_named(self, n):
+        """Past 3_037_000_499 nodes Graph.from_edges refuses the edges, so
+        the configs refuse n before any is drawn."""
+        tail = dw.ParetoTail(gamma=2.5, c=1.0, x_prime=1.0)
+        for make in (lambda: dw.PAConfig(n=n), lambda: dw.ConfigModelConfig(n=n, tail=tail)):
+            with pytest.raises(ValueError, match=r"n must be in \[2, 3037000499\]"):
+                make()
+
     def test_negative_attractiveness_supported(self):
         g = dw.generate_pa(dw.PAConfig(n=300, edges_per_node=1,
                                        attractiveness=-0.5, seed=8))

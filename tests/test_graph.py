@@ -1,3 +1,4 @@
+import warnings
 import zipfile
 
 import numpy as np
@@ -55,12 +56,30 @@ PARSE_CASES = {
     "non_ascii_digits": "0 1\n\u0661 2\n".encode("utf-8"),
     "empty_file": b"",
     "only_comments": b"# nothing here\n",
+    "sign_before_tab": b"7 -\t",
+    "sign_before_blank": b"1 - ",
+    "sign_at_end": b"+0\t+",
+    "sign_apart_from_digits": b"- 3\n",
+    "blank_line_end_no_final_newline": b"9707 \n1",
+    "sign_inside_id": b"1+2 3\n",
+    "one_id_then_blank": b"0 1\n5 \n",
+    "tab_separated": b"0\t1\n1\t2\n3\t0\n",
+    "crlf_tab_separated": b"0\t1\r\n1\t2\r\n",
+    "double_blanks": b"0  1\n 1 2 \n\n\n2 \t 3\n",
 }
 
 # well-formed cases the vectorized pass must take on its own
 FAST_CASES = ["snap_headers", "comment_between", "comment_crlf", "minus_zero",
               "plus_sign", "leading_zeros", "crlf", "blank_and_whitespace_lines",
-              "no_final_newline", "int64_max"]
+              "no_final_newline", "int64_max", "tab_separated", "crlf_tab_separated",
+              "double_blanks"]
+
+# the bytes the vectorized pass accepts, a comment mark, a stray letter and
+# the ids at the int64 edge, drawn into a few short lines
+PARSE_TOKENS = [bytes([c]) for c in b"0123456789+- \t\r\n#x"] + [
+    b"9223372036854775807", b"9223372036854775808"]
+EDGE_LIST_BYTES = st.lists(st.lists(st.sampled_from(PARSE_TOKENS), max_size=6)
+                           .map(b"".join), max_size=6).map(b"\n".join)
 
 
 def parse_outcome(parse):
@@ -69,6 +88,24 @@ def parse_outcome(parse):
         return parse()
     except ValueError as exc:
         return type(exc), getattr(exc, "lineno", None)
+
+
+def assert_parses_as_line_loop(path):
+    """load_edge_list(path) gives the line loop's graph arrays, or raises
+    the same type at the same line, and warns of nothing. (On a text that
+    np.fromstring cannot read to its end, numpy 1.x warns where 2.x raises.)"""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fast = parse_outcome(lambda: dw.load_edge_list(path))
+    assert not caught, [str(w.message) for w in caught]
+    with open(path, encoding="utf-8") as fh:
+        loop = parse_outcome(lambda: dw.ingest_edge_list(fh))
+    if isinstance(loop, dw.Graph):
+        assert isinstance(fast, dw.Graph), fast
+        for name in ("offsets", "neighbors", "original_ids"):
+            assert np.array_equal(getattr(fast, name), getattr(loop, name)), name
+    else:
+        assert fast == loop
 
 
 def full_sort_top_k(g, k):
@@ -141,15 +178,14 @@ class TestLoadEdgeList:
     def test_matches_line_loop(self, case, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_bytes(PARSE_CASES[case])
-        fast = parse_outcome(lambda: dw.load_edge_list(path))
-        with open(path, encoding="utf-8") as fh:
-            loop = parse_outcome(lambda: dw.ingest_edge_list(fh))
-        if isinstance(loop, dw.Graph):
-            assert isinstance(fast, dw.Graph), fast
-            for name in ("offsets", "neighbors", "original_ids"):
-                assert np.array_equal(getattr(fast, name), getattr(loop, name)), name
-        else:
-            assert fast == loop
+        assert_parses_as_line_loop(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=EDGE_LIST_BYTES)
+    def test_matches_line_loop_on_drawn_bytes(self, data, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "drawn_edges.txt"
+        path.write_bytes(data)
+        assert_parses_as_line_loop(path)
 
     @pytest.mark.parametrize("case", FAST_CASES)
     def test_well_formed_input_skips_line_loop(self, case, tmp_path, monkeypatch):
