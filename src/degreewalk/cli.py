@@ -65,11 +65,14 @@ def _resolve_alpha(args, g: Graph) -> float:
     return g.average_degree() if args.alpha is None else args.alpha
 
 
-def _walk_config(args, g: Graph) -> WalkConfig:
-    mode = (EveryStep() if args.mode == "everystep"
+def _walk_mode(args):
+    return (EveryStep() if args.mode == "everystep"
             else Thinned(transient=args.transient, q=args.q))
+
+
+def _walk_config(args, g: Graph) -> WalkConfig:
     return WalkConfig(alpha=_resolve_alpha(args, g), seed=args.seed,
-                      max_steps=args.max_steps, mode=mode)
+                      max_steps=args.max_steps, mode=_walk_mode(args))
 
 
 def _emit(args, lines) -> None:
@@ -113,9 +116,11 @@ def _cmd_ingest(args) -> int:
 
 # -- detect -------------------------------------------------------------------
 
-def _rule_threshold(rule: str, m, a_bar, b_bar):
-    """The value of the threshold flag for `rule`; UsageError if missing or
-    extra, ValueError if out of the rule's range."""
+def _rule_threshold(args, m):
+    """The value of the threshold flag for `args.rule`; UsageError if
+    missing or extra, ValueError if out of the rule's range for `args.k`
+    or if the sampling flags leave no step to sample."""
+    rule, a_bar, b_bar = args.rule, args.a_bar, args.b_bar
     given = {"--m": m, "--a-bar": a_bar, "--b-bar": b_bar}
     needed = {"fixed": "--m", "r0": "--a-bar", "r1": "--a-bar", "r2": "--b-bar"}[rule]
     for flag, value in given.items():
@@ -124,13 +129,14 @@ def _rule_threshold(rule: str, m, a_bar, b_bar):
         if flag != needed and value is not None:
             raise UsageError(f"rule {rule} does not take {flag}")
     if rule != "fixed":
-        detector.check_rule_threshold(rule, given[needed])
+        detector.check_rule_threshold(rule, given[needed], args.k)
+    detector.check_sampling(_walk_mode(args), args.max_steps)
     return given[needed]
 
 
 def _cmd_detect(args) -> int:
     rule = args.rule
-    threshold = _rule_threshold(rule, args.m, args.a_bar, args.b_bar)
+    threshold = _rule_threshold(args, args.m)
     g = _load_graph(args.graph)
     cfg = _walk_config(args, g)
     if rule == "fixed":
@@ -213,7 +219,7 @@ def _cmd_experiment(args) -> int:
     elif args.what == "stopping":
         if args.rule is None:
             raise UsageError("experiment stopping requires --rule")
-        threshold = _rule_threshold(args.rule, None, args.a_bar, args.b_bar)
+        threshold = _rule_threshold(args, None)
     g = _load_graph(args.graph)
     cfg = _walk_config(args, g)
     if args.what == "hitting":

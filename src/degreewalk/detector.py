@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .walk import WalkConfig, _visits
+from .walk import Mode, Thinned, WalkConfig, _visits
 
 
 class CandidateList:
@@ -144,22 +144,34 @@ def stopping_rule_0(lst: CandidateList, a_bar: float) -> bool:
     return error_score(lst.member_hits()) <= a_bar
 
 
-def check_rule_threshold(rule: str, threshold: float) -> None:
+def check_rule_threshold(rule: str, threshold: float, k: int) -> None:
     """ValueError naming the threshold unless it suits `rule`: a_bar (r0,
     r1) must lie in (0, 2), as the error scores lie in [0, 2], and b_bar
-    (r2) must be finite."""
+    (r2) must be finite and at most k, as coverage sums k terms of at
+    most 1."""
     if rule == "r2":
         if not math.isfinite(threshold):
             raise ValueError(f"b_bar must be finite, got {threshold}")
+        if threshold > k:
+            raise ValueError(f"b_bar must be at most k={k}, the most "
+                             f"coverage can reach, got {threshold}")
     elif not 0.0 < threshold < 2.0:
         raise ValueError(f"a_bar must be in (0, 2), got {threshold}")
+
+
+def check_sampling(mode: Mode, max_steps: int) -> None:
+    """ValueError naming the transient when a Thinned mode skips every one
+    of the max_steps raw steps, so that no sample can arrive."""
+    if isinstance(mode, Thinned) and mode.transient >= max_steps:
+        raise ValueError(f"transient must be below max_steps={max_steps}, "
+                         f"or no step is sampled, got {mode.transient}")
 
 
 def rule1_threshold(k: int, a_bar: float) -> int:
     """Smallest natural x with (1 - exp(-x))^k >= 1 - a_bar/2."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    check_rule_threshold("r1", a_bar)
+    check_rule_threshold("r1", a_bar, k)
     goal = 1.0 - a_bar / 2.0
     x = 1
     while (1.0 - math.exp(-x)) ** k < goal:
@@ -206,6 +218,7 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
     """
     if k > g.n:
         raise ValueError(f"k={k} exceeds node count n={g.n}")
+    check_sampling(cfg.mode, cfg.max_steps)
     lst = CandidateList(k)
     if stop_rule is not None and stop_rule(lst):
         return StopDecision(rule, threshold, True, 0, 0, lst)
@@ -247,7 +260,8 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
 
 def detect_fixed_m_decision(g: Graph, cfg: WalkConfig, k: int, m: int) -> StopDecision:
     """detect_fixed_m with cost accounting; fired=False when the walk's
-    raw-step cap ran out before m samples arrived."""
+    raw-step cap ran out before m samples arrived. A mode that
+    `check_sampling` rejects raises ValueError before any walking."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return _run_list(g, cfg, k, "fixed_m", float(m), stop_sample=m, stop_rule=None)
@@ -267,11 +281,12 @@ def detect_with_rule(g: Graph, cfg: WalkConfig, k: int, rule: str,
     The rule is evaluated on the empty list first, so an already-satisfied
     threshold fires at zero cost, and then after every sample. A run that
     exhausts max_steps is returned with fired=False. A threshold that
-    `check_rule_threshold` rejects raises ValueError before any walking.
+    `check_rule_threshold` rejects, or a mode that `check_sampling`
+    rejects, raises ValueError before any walking.
     """
     if rule not in _RULES:
         raise ValueError(f"rule must be one of {tuple(_RULES)}, got {rule!r}")
-    check_rule_threshold(rule, threshold)
+    check_rule_threshold(rule, threshold, k)
     recorded = float(rule1_threshold(k, threshold)) if rule == "r1" else threshold
     rule_fn = _RULES[rule]
     return _run_list(g, cfg, k, rule, recorded, stop_sample=None,

@@ -79,7 +79,8 @@ class Graph:
 
         Self-loops are dropped and duplicate/reversed edges collapsed. Node
         ids must already be dense in 0..n-1; pass `n` when isolated trailing
-        nodes should be kept. Raises ValueError for n above 3_037_000_499,
+        nodes should be kept. Raises ValueError for ids outside [0, n) that
+        would put an arc outside the n nodes, and for n above 3_037_000_499,
         where the sort key u*n+v would overflow int64.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -90,17 +91,32 @@ class Graph:
                              f"edge keys fit in int64")
         u, v = edges[:, 0], edges[:, 1]
         keep = u != v
-        u, v = u[keep], v[keep]
+        if not keep.all():
+            u, v = u[keep], v[keep]
         # one key per directed arc; sorted, the keys order the arcs by
         # (src, dst), and equal neighbouring keys are duplicate edges
-        key = np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u])
+        m = len(u)
+        key = np.empty(2 * m, dtype=np.int64)
+        np.multiply(u, np.int64(n), out=key[:m])
+        key[:m] += v
+        np.multiply(v, np.int64(n), out=key[m:])
+        key[m:] += u
         key.sort()
         first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        src, dst = np.divmod(key[first], n)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        if not first.all():
+            key = key[first]
+        src = key // n if n else key
+        # src is sorted, so its ends bound every source; a source in [0, n)
+        # leaves the destination key - src * n in [0, n)
+        if len(src) and not 0 <= src[0] <= src[-1] < n:
+            raise ValueError(f"edge ids must lie in [0, n={n})")
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-        return cls(offsets, dst, original_ids)
+        # key - src * n is the destination, so the key buffer becomes neighbors
+        src *= n
+        key -= src
+        return cls(offsets, key, original_ids)
 
     # -- queries -----------------------------------------------------------
 
@@ -263,15 +279,17 @@ def _graph_from_raw_edges(raw_edges: np.ndarray) -> Graph:
         present = np.zeros(top + 1, dtype=bool)
         present[raw_edges] = True
         original_ids = np.flatnonzero(present)
-        dense = (np.cumsum(present, dtype=np.int64) - 1)[raw_edges]
+        lo = int(original_ids[0])
+        if len(original_ids) == top - lo + 1:  # one contiguous range lo..top
+            dense = raw_edges - lo if lo else raw_edges
+        else:
+            dense = (np.cumsum(present, dtype=np.int64) - 1)[raw_edges]
     else:  # a wide id range: np.unique keeps memory bounded by the edges
         original_ids, dense = np.unique(raw_edges, return_inverse=True)
     return Graph.from_edges(dense.reshape(raw_edges.shape), n=len(original_ids),
                             original_ids=original_ids)
 
 
-# The only bytes the vectorized parse accepts outside comment lines
-_EDGE_BYTES = b"0123456789+- \t\r\n"
 _ID_BYTES = b"0123456789+-"
 _COMMENT_LINE = re.compile(rb"\n#[^\n]*")
 _TAB_TO_BLANK = bytes.maketrans(b"\t", b" ")
@@ -298,8 +316,6 @@ def _parse_edges_fast(data: bytes) -> np.ndarray | None:
         return None
     if b"#" in text:
         text = _COMMENT_LINE.sub(b"", text)
-    if text.translate(None, _EDGE_BYTES):
-        return None
     if not text.endswith(b"\n"):  # else "9 \n1" would pass as one "9 1" line
         text += b"\n"
     edges = _edge_pairs(text)
@@ -324,8 +340,8 @@ def _parse_edges_fast(data: bytes) -> np.ndarray | None:
 def _edge_pairs(text: bytes) -> np.ndarray | None:
     """The (m, 2) int64 ids of `text` when it is "\\n" followed by m >= 1
     lines "u v\\n" of optionally signed decimal ids that fit int64, else
-    None. The separators left once the ids are deleted fix the line shape;
-    np.fromstring converts the ids."""
+    None. The separators left once the ids are deleted fix the line shape
+    and rule out any other byte; np.fromstring converts the ids."""
     seps = text.translate(None, _ID_BYTES)
     m = len(seps) // 2
     if not m or seps != b"\n" + b" \n" * m:

@@ -84,11 +84,18 @@ class TestExitCodes:
         (["--rule", "r0", "--a-bar", "inf"], "a_bar"),
         (["--rule", "r0", "--a-bar", "2"], "a_bar"),
         (["--rule", "r1", "--a-bar", "nan"], "a_bar"),
+        (["--rule", "r2", "--b-bar", "1e300"], "b_bar"),
+        (["--rule", "r2", "--b-bar", "1.5"], "b_bar"),
+        (["--rule", "r1", "--a-bar", "0.5", "--transient", "9223372036854775808"],
+         "transient"),
+        (["--rule", "r2", "--b-bar", "1", "--transient", "50", "--max-steps", "50"],
+         "transient"),
     ])
     def test_bad_threshold_reported_before_graph_is_read(self, command, flags,
                                                          name, capsys):
-        """A threshold out of its rule's range exits 2 naming it, even when
-        the graph file does not exist."""
+        """A threshold out of its rule's range for k = 1, or a transient that
+        leaves no raw step to sample, exits 2 naming it, even when the graph
+        file does not exist."""
         assert main(command + ["/nonexistent/graph.txt", "--k", "1"] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err and "graph.txt" not in err
@@ -182,8 +189,10 @@ class TestDetect:
         assert out.splitlines()[1].startswith("0,3")  # center found
 
     def test_rule_timeout_exits_two(self, star_file, capsys):
+        # the default transient of 100 would leave 50 steps nothing to sample,
+        # which is rejected before the walk
         rc = main(["detect", star_file, "--k", "4", "--rule", "r1",
-                   "--a-bar", "0.0001", "--max-steps", "50"])
+                   "--a-bar", "0.0001", "--max-steps", "50", "--transient", "10"])
         assert rc == 2
         assert "timeout" in capsys.readouterr().err
 

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import degreewalk as dw
+from degreewalk import detector as detector_mod
 from degreewalk.detector import (CandidateList, coverage_score,
                                  detect_fixed_m, detect_fixed_m_decision,
                                  detect_with_rule, error_score,
@@ -322,11 +323,36 @@ class TestDetection:
         ("r0", float("nan"), "a_bar"), ("r0", float("inf"), "a_bar"),
         ("r0", 0.0, "a_bar"), ("r0", 2.0, "a_bar"), ("r1", float("nan"), "a_bar"),
         ("r2", float("nan"), "b_bar"), ("r2", float("inf"), "b_bar"),
-        ("r2", -float("inf"), "b_bar")])
+        ("r2", -float("inf"), "b_bar"), ("r2", 2.000001, "b_bar"),
+        ("r2", 1e300, "b_bar")])
     def test_bad_threshold_rejected(self, star4, rule, threshold, name):
         cfg = WalkConfig(alpha=1.0, seed=0, max_steps=10)
         with pytest.raises(ValueError, match=name):
             detect_with_rule(star4, cfg, 2, rule, threshold)
+
+    @pytest.mark.parametrize("transient, max_steps", [(10, 10), (2**63, 1_000_000)])
+    @pytest.mark.parametrize("rule, threshold", [
+        ("fixed", 1), ("r0", 0.5), ("r1", 0.5), ("r2", 1.0)])
+    def test_transient_without_samples_rejected(self, star4, monkeypatch, rule,
+                                                threshold, transient, max_steps):
+        """A Thinned transient that covers every raw step leaves no sample to
+        wait for: ValueError naming it, before any walking."""
+        monkeypatch.setattr(detector_mod, "_visits", None)
+        cfg = WalkConfig(alpha=1.0, seed=0, max_steps=max_steps,
+                         mode=Thinned(transient=transient, q=0.5))
+        with pytest.raises(ValueError, match="transient"):
+            if rule == "fixed":
+                detect_fixed_m_decision(star4, cfg, 2, threshold)
+            else:
+                detect_with_rule(star4, cfg, 2, rule, threshold)
+
+    @pytest.mark.parametrize("mode", [Thinned(transient=9, q=1.0), EveryStep()])
+    def test_budget_past_transient_accepted(self, star4, mode):
+        """One raw step past the transient, or any transient under
+        EveryStep, still walks; b_bar = k is accepted."""
+        cfg = WalkConfig(alpha=1.0, seed=0, max_steps=10, mode=mode)
+        assert detect_fixed_m_decision(star4, cfg, 2, 1).fired
+        assert detect_with_rule(star4, cfg, 2, "r2", 2.0).raw_steps == 10
 
     @settings(max_examples=200, deadline=None)
     # a_bar = 2.2 lies past the error score's cap of 2, so rule 0 would fire
@@ -365,16 +391,20 @@ class TestDetection:
         cfg = WalkConfig(alpha=1.0, seed=walk_seed, max_steps=max_steps, mode=mode)
         if rule == "fixed":
             threshold = 1 + int(level * 400)
-            dec = detect_fixed_m_decision(g, cfg, k, threshold)
+            run = lambda: detect_fixed_m_decision(g, cfg, k, threshold)
         else:
             # r0 and r1 take a_bar in (0, 2); r0 is also drawn past 2
             a_bar_span = 2.5 if rule == "r0" else 1.9
             threshold = level * k if rule == "r2" else 0.02 + a_bar_span * level
-            if threshold >= 2.0 and rule == "r0":
-                with pytest.raises(ValueError, match="a_bar"):
-                    detect_with_rule(g, cfg, k, rule, threshold)
-                return
-            dec = detect_with_rule(g, cfg, k, rule, threshold)
+            run = lambda: detect_with_rule(g, cfg, k, rule, threshold)
+        # both are rejected before the walk, the threshold first
+        rejected = ("a_bar" if rule == "r0" and threshold >= 2.0 else
+                    "transient" if thinned and transient >= max_steps else None)
+        if rejected:
+            with pytest.raises(ValueError, match=rejected):
+                run()
+            return
+        dec = run()
         got = (dec.fired, dec.fired_at_samples, dec.raw_steps,
                dec.final_list.entries())
         assert got == reference_decision(g, cfg, k, rule, threshold)

@@ -276,17 +276,21 @@ class TestBinaryCache:
 
 
 class TestIdRemap:
-    """_graph_from_raw_edges ranks ids with a presence table when the id
-    range is at most a few times the edge array, and with np.unique beyond;
-    both must match a build from np.unique's arrays."""
+    """_graph_from_raw_edges shifts ids that form one contiguous range
+    ("range"), ranks ids with gaps with a presence table ("table") when the
+    id range is at most a few times the edge array, and uses np.unique
+    beyond ("unique"); each must match a build from np.unique's arrays."""
 
     CASES = {
-        "dense": ([[0, 1], [1, 2], [2, 0], [3, 1]], True),
-        "gaps": ([[0, 5], [5, 9], [9, 2], [12, 2]], True),
-        "duplicates": ([[4, 2], [2, 4], [4, 2], [2, 2], [7, 4]], True),
-        "sparse": ([[10, 10**9], [10**9, 42]], False),
+        "dense": ([[0, 1], [1, 2], [2, 0], [3, 1]], "range"),
+        "one_based": ([[1, 2], [2, 3], [3, 1], [4, 2]], "range"),
+        # enough edges that the range 1000..1003 counts as dense
+        "offset_range": ([[1000, 1001], [1001, 1002], [1002, 1003]] * 90, "range"),
+        "gaps": ([[0, 5], [5, 9], [9, 2], [12, 2]], "table"),
+        "duplicates": ([[4, 2], [2, 4], [4, 2], [2, 2], [7, 4]], "table"),
+        "sparse": ([[10, 10**9], [10**9, 42]], "unique"),
         "near_int64_max": ([[2**63 - 1, 0], [2**63 - 2, 2**63 - 1],
-                            [0, 2**63 - 1]], False),
+                            [0, 2**63 - 1]], "unique"),
     }
 
     @staticmethod
@@ -303,23 +307,56 @@ class TestIdRemap:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_path_and_arrays(self, case, monkeypatch):
-        pairs, by_table = self.CASES[case]
+        pairs, path = self.CASES[case]
         raw = np.array(pairs, dtype=np.int64)
         want = self.expected(raw)
         calls = []
-        unique = np.unique
-        monkeypatch.setattr(np, "unique",
-                            lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+
+        def spy(name):
+            real = getattr(np, name)
+
+            def call(a, *args, **kw):
+                calls.append((name, np.asarray(a).dtype == bool))
+                return real(a, *args, **kw)
+            monkeypatch.setattr(np, name, call)
+        spy("unique")
+        spy("cumsum")
         self.assert_same(graph_mod._graph_from_raw_edges(raw), want)
-        assert (not calls) == by_table
+        # the table path ranks ids by a cumsum over the boolean table;
+        # from_edges' own cumsum runs over int64 counts
+        took = ("unique" if any(name == "unique" for name, _ in calls) else
+                "table" if ("cumsum", True) in calls else "range")
+        assert took == path
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from([3, 40, 2**40, 2**63 - 1]), st.data())
-    def test_matches_unique(self, top, data):
+    @given(st.sampled_from([3, 40, 2**40, 2**63 - 1]),
+           st.sampled_from([0, 1, 7, 1000, 2**62]), st.data())
+    def test_matches_unique(self, top, lo, data):
+        """Ids drawn from [0, top], then ids that cover lo..lo+size-1."""
         pairs = data.draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)),
                                    min_size=1, max_size=30))
         raw = np.array(pairs, dtype=np.int64)
         self.assert_same(graph_mod._graph_from_raw_edges(raw), self.expected(raw))
+        size = data.draw(st.integers(1, 40))
+        cover = data.draw(st.permutations(range(size)))
+        cover += cover[:len(cover) % 2]
+        extra = data.draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                             st.integers(0, size - 1)), max_size=60))
+        raw = lo + np.concatenate([np.array(cover, dtype=np.int64).reshape(-1, 2),
+                                   np.array(extra, dtype=np.int64).reshape(-1, 2)])
+        self.assert_same(graph_mod._graph_from_raw_edges(raw), self.expected(raw))
+
+    def test_input_unchanged(self):
+        """The range path hands the caller's array on to from_edges, so
+        neither may write to it."""
+        for pairs, _ in self.CASES.values():
+            raw = np.array(pairs, dtype=np.int64)
+            graph_mod._graph_from_raw_edges(raw)
+            assert np.array_equal(raw, pairs)
+        for pairs in ([[0, 1], [1, 2]], [[0, 1], [1, 0], [2, 2], [0, 1]]):
+            edges = np.array(pairs, dtype=np.int64)
+            dw.Graph.from_edges(edges)
+            assert np.array_equal(edges, pairs)
 
 
 class TestGraphConstruction:
@@ -339,6 +376,14 @@ class TestGraphConstruction:
             dw.Graph.from_edges(np.array([[0, 1]]), n=2**32)
         with pytest.raises(ValueError, match="int64"):
             dw.Graph.from_edges(np.array([[0, 2**32]]))
+
+    @pytest.mark.parametrize("pairs, n", [
+        ([[0, 1]], 0), ([[1, 3]], 3), ([[0, 5]], 2), ([[-1, 2]], 3), ([[4, -9]], 6)])
+    def test_id_outside_range_rejected(self, pairs, n):
+        """An id outside [0, n) raises ValueError; with n = 0 the build
+        would otherwise return neighbors on no node."""
+        with pytest.raises(ValueError, match="must lie in"):
+            dw.Graph.from_edges(np.array(pairs), n=n)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=1, max_value=12),
@@ -365,6 +410,25 @@ class TestGraphConstruction:
             for original in (True, False):
                 assert (list(relabelled.to_edge_lines(original))
                         == edge_lines_reference(relabelled, original))
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=12),
+           st.integers(min_value=0, max_value=3), st.data())
+    def test_matches_reference_on_simple_edges(self, used, isolated, data):
+        """No self-loop and no duplicate, so both compresses are skipped;
+        n = 0 and edgeless graphs included."""
+        ids = st.integers(0, max(used - 1, 0))
+        drawn = data.draw(st.lists(st.tuples(ids, ids), max_size=40))
+        simple = {frozenset(p): p for p in drawn if p[0] != p[1]}
+        edges = np.array(list(simple.values()), dtype=np.int64).reshape(-1, 2)
+        n = used + isolated
+        for g, size in ((dw.Graph.from_edges(edges, n=n), n),
+                        (dw.Graph.from_edges(edges), int(edges.max()) + 1 if simple else 0)):
+            offsets, neighbors = from_edges_reference(edges, size)
+            assert g.n == size
+            for got, want in ((g.offsets, offsets), (g.neighbors, neighbors)):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class TestEdgeLines:
