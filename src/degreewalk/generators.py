@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -103,9 +102,13 @@ def generate_pa(cfg: PAConfig) -> Graph:
     -edges_per_node < A < 0 it falls back to rejection from the stub list.
 
     Trees (edges_per_node == 1 and A >= 0, the paper's graphs) are built by
-    replaying the generator's draws from its raw words (_pa_tree_targets); the
-    offsets, neighbors and original_ids are identical, dtypes included, to
-    those of the per-node loop, which builds every other configuration.
+    replaying the generator's draws from its raw words (_pa_tree_targets):
+    numpy settles every word safely below the stub-pick threshold, a Python
+    scan visits only the others, deciding those near the threshold with
+    the loop's own float ops, and a rejected uniform draw restarts the scan
+    after its node. The offsets, neighbors and original_ids are identical,
+    dtypes included, to those of the per-node loop, which builds every
+    other configuration.
 
     Returns:
         Graph with n nodes and roughly edges_per_node * n edges.
@@ -169,52 +172,114 @@ def _pa_tree_targets(n: int, a: float, seed: int) -> np.ndarray:
     first, while the bit generator keeps the high half for the next 32-bit
     draw. random() neither reads nor clears that kept half.
 
-    The words come from random_raw a chunk at a time, turned into random()'s
-    values in numpy; integers() reads its fresh words back from the chunk.
-    Stub 2(s-1) is node s and stub 2(s-1)+1 is node s's target, so the scan
-    records one stub per node (a uniform pick v as stub 2(v-1)) and pointer
+    The words come from random_raw a chunk at a time. The pick threshold
+    2(t-1) / (2(t-1) + a*t) rises with t, so a word below its value at the
+    scan's first node, less a 1e-9 margin, picks a stub if it is a random()
+    word; only the other words are candidates. A Python scan over the
+    candidates skips each one that the pick before it took as a fresh word,
+    decides those in the narrow band below the threshold at the scan's last
+    node with the loop's own float ops, and records the offsets of the
+    uniform picks. The picks alternate between taking a fresh word and
+    using the kept half, so numpy derives each pick's node and 32-bit draw
+    from the offsets alone, checks Lemire's acceptance for all of them and
+    writes every node's stub. At the first rejected draw the picks before
+    it are kept, that node's draws are replayed word by word, and the scan
+    restarts after its last word. A node whose fresh word lies past the
+    chunk is left, with its words, to the next chunk.
+
+    Stub 2(s-1) is node s and stub 2(s-1)+1 is node s's target, so each
+    node records one stub (a uniform pick v as stub 2(v-1)) and pointer
     jumping resolves the odd stubs, which copy an earlier node's target.
     """
     raw = np.random.default_rng(seed).bit_generator.random_raw
-    chunk = None
-
-    def doubles() -> list[float]:
-        """random() of each word of the next chunk, which stays in `chunk`."""
-        nonlocal chunk
-        chunk = raw(_WORD_CHUNK)
-        return ((chunk >> np.uint64(11)) * 2.0 ** -53).tolist()
-
-    # the loop's 2(t-1) + a*t, in the same float operations
-    scales = chain.from_iterable(
-        (2 * (t - 1) + a * t).tolist()
-        for t in (np.arange(lo, min(lo + _WORD_CHUNK, n))
-                  for lo in range(2, n, _WORD_CHUNK)))
-    words = chain.from_iterable(iter(doubles, None))
-    fresh_words = 0  # words integers() took, so word t-1+fresh_words is next
+    low = np.uint64(0xFFFFFFFF)
+    stub = np.empty(n - 1, dtype=np.int64)
+    stub[0] = -2  # node 1 joins node 0
+    t = 2  # the node whose random() word is words[start]
     half = None  # the high half integers() keeps of its last fresh word
-    stubs = [-2]  # node 1 joins node 0
-    append = stubs.append
-    for total, r, scale in zip(range(2, 2 * n - 2, 2), words, scales):
-        u = r * scale
-        if u < total:
-            append(int(u))
-            continue
-        t = total // 2 + 1
-        while True:
-            if half is None:
-                next(words)
-                fresh = int(chunk[(t - 1 + fresh_words) % _WORD_CHUNK])
-                fresh_words += 1
-                x, half = fresh & 0xFFFFFFFF, fresh >> 32
-            else:
-                x, half = half, None
-            prod = x * t
-            # accept unless the low half falls below 2**32 mod t
-            if (prod & 0xFFFFFFFF) >= (0x100000000 - t) % t:
-                break
-        append(2 * (prod >> 32) - 2)
+    words, start = np.empty(0, dtype=np.uint64), 0
+    while t < n:
+        words = np.concatenate((words[start:], raw(_WORD_CHUNK)))
+        r = (words >> np.uint64(11)) * 2.0 ** -53
+        start = 0
+        while t < n and start < len(words):
+            # without a rejection no node takes more than two words
+            seg = r[start:start + 2 * (n - t)]
+            t_end = t + len(seg)
+            lo = 2 * (t - 1) / (2 * (t - 1) + a * t) * (1 - 1e-9)
+            hi = 2 * (t_end - 1) / (2 * (t_end - 1) + a * t_end) * (1 + 1e-9)
+            cand = np.flatnonzero(seg >= lo)
+            offsets: list[int] = []
+            append = offsets.append
+            skip, fresh, kept = -1, 0, half is not None
+            for c, rc in zip(cand.tolist(), seg[cand].tolist()):
+                if c == skip:
+                    continue
+                if rc < hi:
+                    tc = t + c - fresh
+                    if rc * (2 * (tc - 1) + a * tc) < 2 * (tc - 1):
+                        continue
+                append(c)
+                if kept:
+                    kept = False
+                else:
+                    kept, fresh, skip = True, fresh + 1, c + 1
 
-    stub = np.array(stubs, dtype=np.int64)
+            pick = np.array(offsets, dtype=np.int64)
+            takes = np.arange(len(pick)) % 2 == (half is not None)
+            node = t + pick - (np.cumsum(takes) - takes)
+            m = int(np.searchsorted(node, n))
+            spill = m > 0 and takes[m - 1] and start + pick[m - 1] + 1 == len(words)
+            if spill:
+                m -= 1
+            fresh_words = words[start + 1 + pick[:m][takes[:m]]]
+            # the 32-bit draws in the order integers() reads them
+            halves = np.stack((fresh_words & low, fresh_words >> np.uint64(32)),
+                              axis=1).ravel()
+            if half is not None:
+                halves = np.concatenate(([np.uint64(half)], halves))
+            bound = node[:m].astype(np.uint64)
+            prod = halves[:m] * bound
+            rejected = (prod & low) < (np.uint64(1 << 32) - bound) % bound
+            k = int(np.argmax(rejected)) if rejected.any() else m
+
+            # every node before pick k: stubs, then the accepted uniform picks
+            end = int(pick[k]) if k < m or spill else len(seg)
+            is_node = np.ones(end, dtype=bool)
+            is_node[pick[:k][takes[:k]] + 1] = False
+            at = np.flatnonzero(is_node)[:n - t]
+            nodes = np.arange(t, t + len(at))
+            # a huge a overflows a*t to inf, and a pick's u to inf or nan
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = seg[at] * (2 * (nodes - 1) + a * nodes)
+                stub[nodes - 1] = u.astype(np.int64)
+            stub[node[:k] - 1] = 2 * (prod[:k] >> np.uint64(32)).astype(np.int64) - 2
+            t += len(at)
+            half = int(halves[k]) if (k + (half is not None)) % 2 else None
+            start += end
+            if k == m:
+                if spill:
+                    break
+                continue
+
+            # node t's uniform pick had a draw rejected: replay its draws
+            x, h, next_word = half, None, start + 1
+            while True:
+                if x is None:
+                    if next_word == len(words):
+                        break
+                    word = int(words[next_word])
+                    next_word += 1
+                    x, h = word & 0xFFFFFFFF, word >> 32
+                prod = x * t
+                if (prod & 0xFFFFFFFF) >= (0x100000000 - t) % t:
+                    break
+                x, h = h, None
+            if x is None:  # its words run past the chunk
+                break
+            stub[t - 1] = 2 * (prod >> 32) - 2
+            t, half, start = t + 1, h, next_word
+
     owner = np.concatenate(([0], (stub >> 1) + 1))  # owner[0] is unused
     up = np.arange(n)
     copies = np.flatnonzero(stub & 1) + 1

@@ -107,9 +107,10 @@ class Graph:
         if not first.all():
             key = key[first]
         src = key // n if n else key
-        # src is sorted, so its ends bound every source; a source in [0, n)
-        # leaves the destination key - src * n in [0, n)
-        if len(src) and not 0 <= src[0] <= src[-1] < n:
+        # src is sorted, so its ends bound every source. Sources in [0, n)
+        # leave every destination key - src * n in [0, n) unless an id is
+        # negative: the arcs of (-1, n) have the sources 0 and n - 1
+        if len(src) and (not 0 <= src[0] <= src[-1] < n or edges.min() < 0):
             raise ValueError(f"edge ids must lie in [0, n={n})")
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])

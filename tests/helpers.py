@@ -41,16 +41,19 @@ class PCG64Replay:
         self._raw = np.random.default_rng(seed).bit_generator.random_raw
         self._kept = None
         self.rejections = 0
+        self.words = 0  # raw words read so far
 
     def _uint32(self) -> int:
         if self._kept is not None:
             half, self._kept = self._kept, None
             return half
         word = int(self._raw())
+        self.words += 1
         self._kept = word >> 32
         return word & 0xFFFFFFFF
 
     def random(self) -> float:
+        self.words += 1
         return math.ldexp(int(self._raw()) >> 11, -53)
 
     def integers(self, high: int) -> int:
@@ -62,15 +65,41 @@ class PCG64Replay:
             self.rejections += 1
 
 
-def pa_tree_rejections(n: int, attractiveness: float, seed: int) -> int:
-    """Lemire rejections among the uniform picks that generate_pa draws for
-    PAConfig(n, 1, attractiveness, seed), attractiveness >= 0."""
+def pcg64_with_word(index: int, word: int) -> np.random.PCG64:
+    """A PCG64 bit generator whose raw word number `index` (from 0) is `word`.
+
+    PCG64 steps its 128-bit LCG state, then outputs the xor of the state's
+    two halves rotated right by the top 6 bits of the state. A state with
+    any high half h and low half h ^ rotl(word) therefore outputs `word`;
+    the generator starts index + 1 steps before that state.
+    """
+    high = 0x9E3779B97F4A7C15
+    rot = high >> 58
+    mixed = ((word << rot) | (word >> (64 - rot))) & 0xFFFFFFFFFFFFFFFF
+    bits = np.random.PCG64(0)
+    bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                  "state": {"state": (high << 64) | (high ^ mixed), "inc": 1}}
+    return bits.advance(2 ** 128 - index - 1)
+
+
+def pa_tree_picks(n: int, attractiveness: float,
+                  seed: int) -> list[tuple[int, list[int], int]]:
+    """The uniform picks that generate_pa draws for PAConfig(n, 1,
+    attractiveness, seed), attractiveness >= 0, one (w, fresh, rejections)
+    per pick: w indexes the node's random() word in the raw stream, fresh
+    lists the words integers() took for it, and rejections counts the draws
+    that Lemire's method rejected."""
     rng = PCG64Replay(seed)
+    picks = []
     for t in range(2, n):
         total = 2 * (t - 1)
+        word = rng.words
         if rng.random() * (total + attractiveness * t) >= total:
+            rejections = rng.rejections
             rng.integers(t)
-    return rng.rejections
+            picks.append((word, list(range(word + 1, rng.words)),
+                          rng.rejections - rejections))
+    return picks
 
 
 def from_edges_reference(edges, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degreewalk as dw
 from degreewalk import generators
 from degreewalk.generators import _pa_loop, pair_stubs, sample_degrees
 
 from helpers import (PCG64Replay, check_graph_invariants, is_connected,
-                     pa_tree_rejections)
+                     pa_tree_picks, pcg64_with_word)
 
 PA_TAIL = dw.ParetoTail(gamma=2.5, c=3.7, x_prime=3.7 ** 0.4)
 
@@ -83,8 +85,9 @@ class TestPreferentialAttachment:
         assert is_connected(g)
 
 
-def assert_same_as_loop(cfg: dw.PAConfig) -> None:
-    fast, loop = dw.generate_pa(cfg), _pa_loop(cfg)
+def assert_same_as_loop(cfg: dw.PAConfig, loop_cfg: dw.PAConfig | None = None) -> None:
+    """loop_cfg, if given, equals cfg but seeds from its own bit generator."""
+    fast, loop = dw.generate_pa(cfg), _pa_loop(loop_cfg or cfg)
     for name in ("offsets", "neighbors", "original_ids"):
         got, want = getattr(fast, name), getattr(loop, name)
         assert got.dtype == want.dtype, (name, cfg)
@@ -96,7 +99,8 @@ class TestPATreeReplay:
     from raw PCG64 words; _pa_loop is the oracle. If a numpy release changes
     these streams, fix the replay, not the golden hashes."""
 
-    @pytest.mark.parametrize("a", [0.0, 0.5, 3.0])
+    # at a = 20 most nodes pick uniformly, so candidate words often adjoin
+    @pytest.mark.parametrize("a", [0.0, 0.5, 3.0, 20.0])
     @pytest.mark.parametrize("n, seeds", [
         (2, range(5)), (3, range(10)), (4, range(10)), (50, range(20)),
         (2000, range(5)), (20_000, [7, 184])])
@@ -109,6 +113,58 @@ class TestPATreeReplay:
         monkeypatch.setattr(generators, "_WORD_CHUNK", 7)
         for seed in range(5):
             assert_same_as_loop(dw.PAConfig(n=2000, attractiveness=3.0, seed=seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 3000), st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+           st.integers(0, 2 ** 64 - 1))
+    def test_identical_to_loop_on_drawn_configs(self, n, a, seed):
+        assert_same_as_loop(dw.PAConfig(n=n, attractiveness=a, seed=seed))
+
+    @pytest.mark.parametrize("a", [1e300, 1e308])
+    def test_identical_to_loop_at_huge_attractiveness(self, a):
+        # at 1e308, a*t overflows to inf and every node picks uniformly
+        for seed in range(3):
+            assert_same_as_loop(dw.PAConfig(n=300, attractiveness=a, seed=seed))
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    @pytest.mark.parametrize("a, seed", [(0.5, 184), (20.0, 404)])
+    def test_rejection_and_spill_across_word_chunks(self, monkeypatch, chunk, a, seed):
+        """A draw rejected inside a chunk, and a fresh word that opens the
+        next chunk. At 7 words, seed 404 instead rejects the kept half of a
+        chunk's last node, whose retry takes the next chunk's first word."""
+        picks = pa_tree_picks(20_000, a, seed)
+        rejected = [(w, fresh) for w, fresh, rejections in picks if rejections]
+        assert any(fresh and fresh[0] % chunk == 0 for _, fresh, _ in picks)
+        if (seed, chunk) == (404, 7):
+            assert any(w % chunk == chunk - 1 and fresh[0] % chunk == 0
+                       for w, fresh in rejected)
+        else:
+            assert any(w % chunk != chunk - 1 for w, _ in rejected)
+        monkeypatch.setattr(generators, "_WORD_CHUNK", chunk)
+        assert_same_as_loop(dw.PAConfig(n=20_000, attractiveness=a, seed=seed))
+
+    @pytest.mark.parametrize("n, a, chunk, t, bound, ulps, is_stub", [
+        # node 98 opens the second chunk, so its threshold bounds the stub
+        # picks; r lies below it, yet r * scale rounds up to 2(t-1)
+        (200, 3.031084597591015e-11, 96, 98, 98, 9007199254603076, False),
+        # the first chunk ends with node 200's word and its fresh word, so
+        # node 202's threshold bounds the uniform picks; r is not below it,
+        # yet r * scale rounds below 2(t-1)
+        (400, 3.2517895434071354e-14, 200, 200, 202, 9007199254740844, True)])
+    def test_word_within_an_ulp_of_the_threshold(self, monkeypatch, n, a, chunk, t,
+                                                 bound, ulps, is_stub):
+        """At so small an a every node before t picks a stub, so node t reads
+        word t - 2, here r = ulps * 2**-53. Rounding flips its test against
+        the bound's threshold, and only the scan's 1e-9 margins send it to
+        the loop's own float ops."""
+        r = ulps * 2.0 ** -53
+        assert (r < 2 * (bound - 1) / (2 * (bound - 1) + a * bound)) != is_stub
+        assert (r * (2 * (t - 1) + a * t) < 2 * (t - 1)) == is_stub
+        monkeypatch.setattr(generators, "_WORD_CHUNK", chunk)
+        fast, loop = (dw.PAConfig(n=n, attractiveness=a,
+                                  seed=pcg64_with_word(t - 2, ulps << 11))
+                      for _ in range(2))
+        assert_same_as_loop(fast, loop)
 
     def test_word_replay_matches_numpy(self):
         # bounds just over 2**31 reject about half their first draws
@@ -124,7 +180,7 @@ class TestPATreeReplay:
 
     def test_pinned_seed_draws_a_lemire_rejection(self):
         # the golden hash arrays_generate_pa_lemire_reject covers this branch
-        assert pa_tree_rejections(20_000, 0.5, seed=184) >= 1
+        assert any(rejections for _, _, rejections in pa_tree_picks(20_000, 0.5, seed=184))
 
 
 class TestParetoTail:

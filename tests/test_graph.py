@@ -378,10 +378,12 @@ class TestGraphConstruction:
             dw.Graph.from_edges(np.array([[0, 2**32]]))
 
     @pytest.mark.parametrize("pairs, n", [
-        ([[0, 1]], 0), ([[1, 3]], 3), ([[0, 5]], 2), ([[-1, 2]], 3), ([[4, -9]], 6)])
+        ([[0, 1]], 0), ([[1, 3]], 3), ([[0, 5]], 2), ([[-1, 2]], 3), ([[4, -9]], 6),
+        ([[-1, 3]], 3), ([[-5, 6]], 3), ([[3, -1]], 3), ([[-1, 1]], 1)])
     def test_id_outside_range_rejected(self, pairs, n):
         """An id outside [0, n) raises ValueError; with n = 0 the build
-        would otherwise return neighbors on no node."""
+        would otherwise return neighbors on no node, and (-1, n) and (n, -1)
+        would become self-loops on nodes 0 and n - 1."""
         with pytest.raises(ValueError, match="must lie in"):
             dw.Graph.from_edges(np.array(pairs), n=n)
 
