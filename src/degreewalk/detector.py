@@ -8,8 +8,10 @@ dropped on eviction, so memory is O(k). The three stopping rules turn the
 counters into data-driven termination: rule 0 thresholds an estimated
 probability that the list still misses a true top-k node, rule 1
 simplifies that to a hit floor for the weakest counter, and rule 2
-thresholds an estimated number of correct entries. A rule is re-scored
-only after a sample that changed the list.
+thresholds an estimated number of correct entries. A rule is scored
+only after a sample of a listed node: at any other sample the list is as
+it was at the last score, or changed since by unsampled visits only,
+which cannot make a rule fire.
 
 The walk arrives in blocks of steps, each with a mask of the steps that
 the sampling mode keeps. Once the list is full, a step whose degree is
@@ -39,10 +41,9 @@ class CandidateList:
     non-members report 0 hits. No sample is lost: before the list is full
     every visited node enters it, and once it is full its worst key only
     improves, so a node that was rejected or evicted never re-enters.
-    _changes counts membership changes and hit increments.
     """
 
-    __slots__ = ("k", "_deg", "_hits", "_worst_key", "_changes")
+    __slots__ = ("k", "_deg", "_hits", "_worst_key")
 
     def __init__(self, k: int):
         if k < 1:
@@ -51,7 +52,6 @@ class CandidateList:
         self._deg: dict[int, int] = {}
         self._hits: dict[int, int] = {}  # same keys, in the same order
         self._worst_key: tuple[int, int] | None = None
-        self._changes = 0
 
     def __len__(self) -> int:
         return len(self._deg)
@@ -76,7 +76,6 @@ class CandidateList:
         self._deg[node] = degree
         self._hits[node] = 0
         self._worst_key = max((-d, v) for v, d in self._deg.items())
-        self._changes += 1
 
     def update(self, node: int, degree: int) -> "CandidateList":
         """Record one sample: observe the node, then bump its hit counter
@@ -87,7 +86,6 @@ class CandidateList:
             if node not in hits:
                 return self
         hits[node] += 1
-        self._changes += 1
         return self
 
     def entries(self) -> list[tuple[int, int, int]]:
@@ -200,21 +198,19 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
 
     stop_sample limits the sample budget; stop_rule(lst) is the firing
     predicate (None for fixed-budget runs). It is scored on the empty list
-    first, then after each sample that left the list changed: the rules
-    read only the members and their counts, so a skipped call would have
-    returned the same False.
+    first, then after each sample of a node that is listed once the sample
+    is counted. Any other sample finds a full list and changes nothing, so
+    only unsampled visits can have changed the list since its last score.
+    If one did, the newest member has no hits yet, and every rule is still
+    False: rule 0 scores 2 > a_bar, rule 1 sees a minimum of 0 hits, and
+    rule 2's coverage can only have fallen, as entries start at 0 hits and
+    evictions drop counters.
 
-    Each walk block is cut at the sample that exhausts the budget and then
-    filtered. Once the list is full, and the rule has scored its last
-    change, only the steps whose degree is at least the worst listed
-    degree reach the list. Every member has at least that degree, and the
-    worst key only improves, so a skipped step is a non-member that cannot
-    enter: it would change nothing. A skipped sample can only matter as the
-    first sample after an unsampled visit changed the list, which would
-    re-score the rule there. That visit gave a full list whose last score
-    was False a member with no hits, and every rule stays False then: rule
-    0 scores 2 > a_bar, rule 1 sees a minimum of 0 hits, and rule 2's
-    coverage cannot have grown.
+    Each walk block is cut at the sample that exhausts the budget. Once the
+    list is full, only the steps whose degree is at least the worst listed
+    degree at the block's start reach the list. Every member has at least
+    that degree, and the worst key only improves, so a skipped step is a
+    non-member that cannot enter: it would change nothing.
     """
     if k > g.n:
         raise ValueError(f"k={k} exceeds node count n={g.n}")
@@ -222,7 +218,6 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
     lst = CandidateList(k)
     if stop_rule is not None and stop_rule(lst):
         return StopDecision(rule, threshold, True, 0, 0, lst)
-    scored = lst._changes
     degrees = g.degrees
     samples = 0
     for nodes, kept, base in _visits(g, cfg):
@@ -232,26 +227,18 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
         if stop_sample is not None and at[-1] >= stop_sample:
             end = int(np.searchsorted(at, stop_sample)) + 1
         degs = degrees[nodes[:end]]
+        floor = -lst._worst_key[0] if lst.is_full else 0
         deg_of = degs.tolist()
         kept_at = kept.tolist()
-        i = 0
-        while i < end:
-            if lst.is_full and (stop_rule is None or lst._changes == scored):
-                todo = (np.flatnonzero(degs[i:] >= -lst._worst_key[0]) + i).tolist()
-                i = end
+        for j in np.flatnonzero(degs >= floor).tolist():
+            node = nodes[j]
+            if kept_at[j]:
+                lst.update(node, deg_of[j])
+                if stop_rule is not None and node in lst and stop_rule(lst):
+                    return StopDecision(rule, threshold, True, int(at[j]),
+                                        base + j + 1, lst)
             else:
-                todo = (i,)
-                i += 1
-            for j in todo:
-                if kept_at[j]:
-                    lst.update(nodes[j], deg_of[j])
-                    if stop_rule is not None and lst._changes != scored:
-                        scored = lst._changes
-                        if stop_rule(lst):
-                            return StopDecision(rule, threshold, True, int(at[j]),
-                                                base + j + 1, lst)
-                else:
-                    lst.observe(nodes[j], deg_of[j])
+                lst.observe(node, deg_of[j])
         samples = int(at[end - 1])
         if samples == stop_sample:
             return StopDecision(rule, threshold, True, samples, base + end, lst)
@@ -279,10 +266,10 @@ def detect_with_rule(g: Graph, cfg: WalkConfig, k: int, rule: str,
     rule is one of "r0", "r1" (threshold is a_bar for both; r1 derives its
     hit floor x0 from it and records that) or "r2" (threshold is b_bar).
     The rule is evaluated on the empty list first, so an already-satisfied
-    threshold fires at zero cost, and then after every sample. A run that
-    exhausts max_steps is returned with fired=False. A threshold that
-    `check_rule_threshold` rejects, or a mode that `check_sampling`
-    rejects, raises ValueError before any walking.
+    threshold fires at zero cost, and then after every sample of a listed
+    node. A run that exhausts max_steps is returned with fired=False. A
+    threshold that `check_rule_threshold` rejects, or a mode that
+    `check_sampling` rejects, raises ValueError before any walking.
     """
     if rule not in _RULES:
         raise ValueError(f"rule must be one of {tuple(_RULES)}, got {rule!r}")

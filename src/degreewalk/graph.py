@@ -79,9 +79,9 @@ class Graph:
 
         Self-loops are dropped and duplicate/reversed edges collapsed. Node
         ids must already be dense in 0..n-1; pass `n` when isolated trailing
-        nodes should be kept. Raises ValueError for ids outside [0, n) that
-        would put an arc outside the n nodes, and for n above 3_037_000_499,
-        where the sort key u*n+v would overflow int64.
+        nodes should be kept. Raises ValueError for ids outside [0, n),
+        self-loops included, and for n above 3_037_000_499, where the sort
+        key u*n+v would overflow int64.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if n is None:
@@ -89,6 +89,8 @@ class Graph:
         if n > _MAX_NODES:
             raise ValueError(f"n={n} exceeds {_MAX_NODES}, the most nodes whose "
                              f"edge keys fit in int64")
+        if len(edges) and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError(f"edge ids must lie in [0, n={n})")
         u, v = edges[:, 0], edges[:, 1]
         keep = u != v
         if not keep.all():
@@ -107,11 +109,6 @@ class Graph:
         if not first.all():
             key = key[first]
         src = key // n if n else key
-        # src is sorted, so its ends bound every source. Sources in [0, n)
-        # leave every destination key - src * n in [0, n) unless an id is
-        # negative: the arcs of (-1, n) have the sources 0 and n - 1
-        if len(src) and (not 0 <= src[0] <= src[-1] < n or edges.min() < 0):
-            raise ValueError(f"edge ids must lie in [0, n={n})")
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
         # key - src * n is the destination, so the key buffer becomes neighbors
@@ -291,24 +288,22 @@ def _graph_from_raw_edges(raw_edges: np.ndarray) -> Graph:
                             original_ids=original_ids)
 
 
-_ID_BYTES = b"0123456789+-"
+_ID_BYTES = b"0123456789"
 _COMMENT_LINE = re.compile(rb"\n#[^\n]*")
 _TAB_TO_BLANK = bytes.maketrans(b"\t", b" ")
-# digits to "0" and "-" to "+", so that one pattern finds a misplaced sign
-_SIGN_MARKS = bytes.maketrans(b"0123456789-", b"0000000000+")
 
 
 def _parse_edges_fast(data: bytes) -> np.ndarray | None:
     """Parse edge-list bytes in one vectorized pass.
 
-    Comment lines must start with '#' in the first column. Ids may be
-    signed and padded by tabs, CRLF line ends, extra blanks and blank
+    Comment lines must start with '#' in the first column. Ids are plain
+    digit runs, padded by tabs, CRLF line ends, extra blanks and blank
     lines. Returns the (m, 2) int64 edges, or None for any input this pass
     does not fully validate: non-ASCII bytes, a bare '\\r', any other '#',
-    a byte outside digits, signs and blanks, no edges, a line without
-    exactly two ids, a sign that does not start an id, an id outside int64,
-    or a negative id. The line loop decides those, so malformed input
-    keeps its exact line number.
+    a byte outside digits and blanks (a sign included), no edges, a line
+    without exactly two ids, or an id outside int64. The line loop decides
+    those, so malformed input keeps its exact line number and a signed id
+    is read as before.
     """
     text = b"\n" + data  # a comment on the first line then also follows "\n"
     if not text.isascii():
@@ -332,27 +327,19 @@ def _parse_edges_fast(data: bytes) -> np.ndarray | None:
         text = text.replace(b" \n", b"\n").replace(b"\n ", b"\n")
         while b"\n\n" in text:
             text = text.replace(b"\n\n", b"\n")
-        edges = _edge_pairs(text)
-    if edges is None or edges.min() < 0:
-        return None
+        return _edge_pairs(text)
     return edges
 
 
 def _edge_pairs(text: bytes) -> np.ndarray | None:
     """The (m, 2) int64 ids of `text` when it is "\\n" followed by m >= 1
-    lines "u v\\n" of optionally signed decimal ids that fit int64, else
-    None. The separators left once the ids are deleted fix the line shape
-    and rule out any other byte; np.fromstring converts the ids."""
+    lines "u v\\n" of unsigned decimal ids that fit int64, else None. The
+    separators left once the digits are deleted fix the line shape and rule
+    out any other byte; np.fromstring converts the ids."""
     seps = text.translate(None, _ID_BYTES)
     m = len(seps) // 2
     if not m or seps != b"\n" + b" \n" * m:
         return None
-    # np.fromstring reads a lone sign as 0, so each sign must start an id
-    # and precede a digit
-    if b"+" in text or b"-" in text:
-        marks = text.translate(_SIGN_MARKS)
-        if any(bad in marks for bad in (b"0+", b"++", b"+ ", b"+\n")):
-            return None
     with warnings.catch_warnings():
         # on a text it cannot read to its end, numpy 1.x returns what it read
         # and warns; numpy 2.x raises

@@ -11,9 +11,45 @@ from degreewalk.detector import (CandidateList, coverage_score,
                                  min_hit_error_score, rule1_threshold,
                                  stopping_rule_0, stopping_rule_1,
                                  stopping_rule_2)
-from degreewalk.walk import EveryStep, Thinned, WalkConfig, sample_stream
+from degreewalk.walk import EveryStep, Thinned, WalkConfig, _visits, sample_stream
 
 from helpers import random_connected_graph, reference_decision
+
+# a test_matches_reference_loop case in which an unsampled visit changes the
+# full list and the next sample is of a non-member, before rule 1 fires
+UNSAMPLED_CHANGE = dict(graph_seed=1, n=10, walk_seed=1, rule="r1", k_choice=3,
+                        thinned=True, transient=5, max_steps=800, level=0.5)
+
+
+def replay_scores(g, cfg, k, rule, threshold):
+    """Replay detect_with_rule from outside: every visit goes to a
+    CandidateList, and the rule is scored on the empty list and after each
+    sample whose node is listed once counted. Returns the entries at each
+    score and the number of samples of a non-member that came first after
+    an unsampled visit changed the list."""
+    rule_fn = detector_mod._RULES[rule]
+    x = rule1_threshold(k, threshold) if rule == "r1" else threshold
+    lst = CandidateList(k)
+    scores, events, changed = [lst.entries()], 0, False
+    if rule_fn(lst, x):
+        return scores, events
+    for nodes, kept, _ in _visits(g, cfg):
+        for node, keep in zip(nodes, kept.tolist()):
+            deg = int(g.degrees[node])
+            if not keep:
+                before = lst.entries()
+                lst.observe(node, deg)
+                changed = changed or lst.entries() != before
+                continue
+            lst.update(node, deg)
+            if node in lst:
+                changed = False
+                scores.append(lst.entries())
+                if rule_fn(lst, x):
+                    return scores, events
+            elif changed:
+                events, changed = events + 1, False
+    return scores, events
 
 
 def list_with(entries, hits=None):
@@ -354,7 +390,38 @@ class TestDetection:
         assert detect_fixed_m_decision(star4, cfg, 2, 1).fired
         assert detect_with_rule(star4, cfg, 2, "r2", 2.0).raw_steps == 10
 
+    @pytest.mark.parametrize("rule, threshold", [("r0", 0.5), ("r1", 0.5), ("r2", 3.5)])
+    def test_rule_scored_after_listed_samples_only(self, monkeypatch, rule, threshold):
+        """The rule runs once on the empty list, then once after each sample
+        whose node is listed once counted, and at no other sample: not even
+        at the first sample of a non-member after an unsampled visit
+        changed the full list, which happens here."""
+        g = random_connected_graph(30, 4.0, seed=2)
+        cfg = WalkConfig(alpha=1.0, seed=8, max_steps=20_000,
+                         mode=Thinned(transient=20, q=0.5))
+        want, events = replay_scores(g, cfg, 5, rule, threshold)
+        assert events > 0
+        rule_fn = detector_mod._RULES[rule]
+        calls = []
+
+        def counted(lst, x):
+            calls.append(lst.entries())
+            return rule_fn(lst, x)
+
+        monkeypatch.setitem(detector_mod._RULES, rule, counted)
+        assert detect_with_rule(g, cfg, 5, rule, threshold).fired
+        assert calls == want
+
+    def test_unsampled_change_example_has_the_event(self):
+        p = UNSAMPLED_CHANGE
+        g = random_connected_graph(p["n"], 3.0, seed=p["graph_seed"])
+        cfg = WalkConfig(alpha=1.0, seed=p["walk_seed"], max_steps=p["max_steps"],
+                         mode=Thinned(transient=p["transient"], q=0.5))
+        threshold = 0.02 + 1.9 * p["level"]
+        assert replay_scores(g, cfg, p["k_choice"], p["rule"], threshold)[1] > 0
+
     @settings(max_examples=200, deadline=None)
+    @example(**UNSAMPLED_CHANGE)
     # a_bar = 2.2 lies past the error score's cap of 2, so rule 0 would fire
     # on any full list; it is rejected before the walk
     @example(graph_seed=1, n=8, walk_seed=0, rule="r0", k_choice=3,

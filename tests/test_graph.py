@@ -1,3 +1,4 @@
+import re
 import warnings
 import zipfile
 
@@ -69,10 +70,9 @@ PARSE_CASES = {
 }
 
 # well-formed cases the vectorized pass must take on its own
-FAST_CASES = ["snap_headers", "comment_between", "comment_crlf", "minus_zero",
-              "plus_sign", "leading_zeros", "crlf", "blank_and_whitespace_lines",
-              "no_final_newline", "int64_max", "tab_separated", "crlf_tab_separated",
-              "double_blanks"]
+FAST_CASES = ["snap_headers", "comment_between", "comment_crlf", "leading_zeros",
+              "crlf", "blank_and_whitespace_lines", "no_final_newline", "int64_max",
+              "tab_separated", "crlf_tab_separated", "double_blanks"]
 
 # the bytes the vectorized pass accepts, a comment mark, a stray letter and
 # the ids at the int64 edge, drawn into a few short lines
@@ -379,12 +379,15 @@ class TestGraphConstruction:
 
     @pytest.mark.parametrize("pairs, n", [
         ([[0, 1]], 0), ([[1, 3]], 3), ([[0, 5]], 2), ([[-1, 2]], 3), ([[4, -9]], 6),
-        ([[-1, 3]], 3), ([[-5, 6]], 3), ([[3, -1]], 3), ([[-1, 1]], 1)])
+        ([[-1, 3]], 3), ([[-5, 6]], 3), ([[3, -1]], 3), ([[-1, 1]], 1),
+        ([[5, 5]], 3), ([[-1, -1]], 3)])
     def test_id_outside_range_rejected(self, pairs, n):
         """An id outside [0, n) raises ValueError; with n = 0 the build
-        would otherwise return neighbors on no node, and (-1, n) and (n, -1)
-        would become self-loops on nodes 0 and n - 1."""
-        with pytest.raises(ValueError, match="must lie in"):
+        would otherwise return neighbors on no node, (-1, n) and (n, -1)
+        would become self-loops on nodes 0 and n - 1, and an out-of-range
+        self-loop would be dropped without a word."""
+        message = f"edge ids must lie in [0, n={n})"
+        with pytest.raises(ValueError, match=re.escape(message)):
             dw.Graph.from_edges(np.array(pairs), n=n)
 
     @settings(max_examples=300, deadline=None)
