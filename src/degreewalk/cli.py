@@ -48,10 +48,10 @@ def _walk_flags(p: argparse.ArgumentParser) -> None:
                    help="jump rate (default: average degree of the graph)")
     p.add_argument("--mode", choices=["everystep", "thinned"], default="thinned",
                    help="sampling mode for detection")
-    p.add_argument("--q", type=float, default=0.5, help="thinning probability")
-    p.add_argument("--transient", type=int, default=100,
+    p.add_argument("--q", type=float, default=Thinned.q, help="thinning probability")
+    p.add_argument("--transient", type=int, default=Thinned.transient,
                    help="raw steps discarded before thinning starts")
-    p.add_argument("--max-steps", type=int, default=1_000_000,
+    p.add_argument("--max-steps", type=int, default=WalkConfig.max_steps,
                    help="cap on raw walk steps")
 
 
@@ -260,8 +260,8 @@ def build_parser() -> _Parser:
     gen_sub = gen.add_subparsers(dest="model", required=True)
     pa = gen_sub.add_parser("pa", help="preferential attachment")
     pa.add_argument("--n", type=int, required=True)
-    pa.add_argument("--edges-per-node", type=int, default=1)
-    pa.add_argument("--attract", type=float, default=0.5,
+    pa.add_argument("--edges-per-node", type=int, default=generators.PAConfig.edges_per_node)
+    pa.add_argument("--attract", type=float, default=generators.PAConfig.attractiveness,
                     help="attachment offset added to each degree")
     _common_flags(pa)
     pa.set_defaults(func=_cmd_generate)

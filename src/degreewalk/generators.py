@@ -306,8 +306,7 @@ def sample_degrees(tail: ParetoTail, n: int, rng: np.random.Generator) -> np.nda
     return np.maximum(degs, floor_deg)
 
 
-def pair_stubs(degrees: np.ndarray, rng: np.random.Generator,
-               n: int | None = None) -> Graph:
+def pair_stubs(degrees: np.ndarray, rng: np.random.Generator) -> Graph:
     """Erased configuration model from an explicit degree sequence.
 
     Stubs are paired by a uniform random permutation; self-loops are then
@@ -316,20 +315,18 @@ def pair_stubs(degrees: np.ndarray, rng: np.random.Generator,
     first node's degree.
     """
     degrees = np.asarray(degrees, dtype=np.int64).copy()
-    if n is None:
-        n = len(degrees)
     if degrees.sum() % 2 == 1:
         degrees[0] += 1
     stubs = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
     rng.shuffle(stubs)
     edges = stubs.reshape(-1, 2)
-    return Graph.from_edges(edges, n=n)
+    return Graph.from_edges(edges, n=len(degrees))
 
 
 def generate_config_model(cfg: ConfigModelConfig) -> Graph:
     g_rng = np.random.default_rng(cfg.seed)
     degrees = sample_degrees(cfg.tail, cfg.n, g_rng)
-    return pair_stubs(degrees, g_rng, n=cfg.n)
+    return pair_stubs(degrees, g_rng)
 
 
 def hill_estimate(degrees: np.ndarray, top_fraction: float = 0.01) -> float:

@@ -131,20 +131,19 @@ class Graph:
     def average_degree(self) -> float:
         return 2.0 * self.m_edges / self.n if self.n else 0.0
 
-    def to_edge_lines(self, original_ids: bool = True) -> Iterator[str]:
+    def to_edge_lines(self) -> Iterator[str]:
         """Render the edge list in the text format accepted by ingestion.
 
-        Each undirected edge appears once as "u v" with dense u < v, ordered
-        by (u, v). Lines are formatted in numpy, about _EDGE_CHUNK edges at a
-        time.
+        Each undirected edge appears once as "u v" in original ids, with
+        dense u < v, ordered by (u, v). Lines are formatted in numpy, about
+        _EDGE_CHUNK edges at a time.
         """
-        ids = self.original_ids if original_ids else np.arange(self.n, dtype=np.int64)
-        return chain.from_iterable(text.splitlines() for text in self._edge_texts(ids))
+        return chain.from_iterable(text.splitlines() for text in self._edge_texts())
 
-    def _edge_texts(self, ids: np.ndarray) -> Iterator[str]:
+    def _edge_texts(self) -> Iterator[str]:
         """The edge lines as one text per 2 * _EDGE_CHUNK arcs (about
         _EDGE_CHUNK edges), each line ending in "\\n"."""
-        off, nbr = self.offsets, self.neighbors
+        off, nbr, ids = self.offsets, self.neighbors, self.original_ids
         if not len(nbr):
             return
         udt = np.uint64 if max(int(ids.max()), -int(ids.min())) >= 2 ** 32 else np.uint32
@@ -176,8 +175,9 @@ class Graph:
         The walk reads degrees from offsets, so the arrays must form a
         valid CSR. ValueError names the member when one is missing or not
         1-D integers that fit int64, offsets does not start at 0, decreases
-        or does not end at len(neighbors), a neighbor lies outside [0, n),
-        or len(original_ids) != n. Adjacency symmetry is not checked."""
+        or does not end at len(neighbors), a neighbor lies outside [0, n)
+        or has degree 0 (where a walk with alpha = 0 is stuck), or
+        len(original_ids) != n. Adjacency symmetry is not checked."""
         with np.load(path) as data:
             missing = [m for m in _CACHE_MEMBERS if m not in data.files]
             if missing:
@@ -197,6 +197,8 @@ class Graph:
             fault = f"offsets: ends at {off[-1]}, not len(neighbors) = {len(nbr)}"
         elif len(nbr) and not (0 <= nbr.min() and nbr.max() < g.n):
             fault = f"neighbors: an id lies outside [0, {g.n})"
+        elif (g.degrees == 0).any() and not g.degrees[nbr].all():
+            fault = "neighbors: lists a node of degree 0"
         elif len(g.original_ids) != g.n:
             fault = f"original_ids: length {len(g.original_ids)}, not n = {g.n}"
         else:

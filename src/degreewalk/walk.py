@@ -6,8 +6,9 @@ moves to a uniform neighbor of i. This two-stage draw realizes exactly the
 kernel p_ij = (alpha/n + [i~j]) / (d_i + alpha) without materializing any
 matrix rows.
 
-The kernel, _walk, only moves, in blocks of up to _BLOCK steps whose size
-changes no draw and no visit; _visits alone applies the sampling mode, as
+The kernel, _walk, only moves, in blocks of up to _BLOCK steps that each
+take one draw of move uniforms; a walk on its own generator visits the
+same nodes at any block size. _visits alone applies the sampling mode, as
 a keep mask per block. The detector filters a block with numpy, and
 sample_stream flattens it.
 """
@@ -21,8 +22,7 @@ import numpy as np
 
 from .graph import Graph
 
-_DRAW = 4096  # move uniforms per generator call
-_BLOCK = 512  # steps per block handed out by _walk
+_BLOCK = 512  # steps per block handed out by _walk, one draw each
 
 
 class WalkStuckError(RuntimeError):
@@ -84,44 +84,42 @@ def _walk(g: Graph, alpha: float, rng: np.random.Generator, start: int,
 
     Each step reads the degree d from g.offsets and jumps with probability
     alpha/(d + alpha), the float that numpy's alpha/(degrees + alpha) gives.
-    Uniforms are drawn as rng.random(min(_DRAW, steps left)), so walks that
-    share one rng draw the same sequence however early each of them stops,
-    and are made Python floats a block at a time, so a walk that stops
-    early converts at most one block it does not use.
+    Each block draws its uniforms as rng.random(min(_BLOCK, steps left)) and
+    makes them Python floats in one call, so a walk that stops early leaves
+    at most one block of draws unused. With alpha == 0 the walk only
+    follows edges and so can stand on a zero-degree node only at the start;
+    WalkStuckError is raised there, before the first draw.
     """
     cur = start
     steps = 0
     n = g.n
-    alpha = float(alpha)  # a Python float: a zero denominator raises
+    alpha = float(alpha)
     offsets, neighbors = memoryview(g.offsets), memoryview(g.neighbors)
+    if alpha == 0.0 and offsets[start + 1] == offsets[start]:
+        raise WalkStuckError("stuck: zero degree, zero jump rate")
     while steps < max_steps:
-        draw = rng.random(min(_DRAW, max_steps - steps))
-        for first in range(0, len(draw), _BLOCK):
-            nodes = []
-            visit = nodes.append
-            for r in draw[first:first + _BLOCK].tolist():
-                lo = offsets[cur]
-                d = offsets[cur + 1] - lo
-                try:
-                    pj = alpha / (d + alpha)
-                except ZeroDivisionError:
-                    raise WalkStuckError("stuck: zero degree, zero jump rate") from None
-                # comparisons, not min(): the call took about 30% of a step
-                if r < pj:
-                    # reuse the branch uniform: r/pj is uniform given the jump
-                    cur = int(r / pj * n)
-                    if cur >= n:
-                        cur = n - 1
-                else:
-                    j = int((r - pj) / (1.0 - pj) * d)
-                    cur = neighbors[lo + (j if j < d else d - 1)]
-                visit(cur)
-                if cur == stop:
-                    break
-            yield nodes, steps
-            steps += len(nodes)
+        nodes = []
+        visit = nodes.append
+        for r in rng.random(min(_BLOCK, max_steps - steps)).tolist():
+            lo = offsets[cur]
+            d = offsets[cur + 1] - lo
+            pj = alpha / (d + alpha)
+            # comparisons, not min(): the call took about 30% of a step
+            if r < pj:
+                # reuse the branch uniform: r/pj is uniform given the jump
+                cur = int(r / pj * n)
+                if cur >= n:
+                    cur = n - 1
+            else:
+                j = int((r - pj) / (1.0 - pj) * d)
+                cur = neighbors[lo + (j if j < d else d - 1)]
+            visit(cur)
             if cur == stop:
-                return
+                break
+        yield nodes, steps
+        steps += len(nodes)
+        if cur == stop:
+            return
 
 
 def walk_until_hit(g: Graph, cfg: WalkConfig, start: int | None,

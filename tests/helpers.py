@@ -127,9 +127,9 @@ def from_edges_reference(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, dst
 
 
-def edge_lines_reference(g: Graph, original_ids: bool = True) -> list[str]:
+def edge_lines_reference(g: Graph) -> list[str]:
     """Oracle for Graph.to_edge_lines: a per-node loop over the adjacency."""
-    ids = g.original_ids if original_ids else np.arange(g.n)
+    ids = g.original_ids
     return [f"{ids[u]} {ids[v]}" for u in range(g.n)
             for v in g.neighbors_of(u) if u < v]
 
@@ -218,7 +218,7 @@ def walk_reference(g: Graph, alpha: float, move_rng, keep_rng, start: int,
     offsets, neighbors, p_jump = t.offsets, t.neighbors, t.p_jump
     thinned = isinstance(mode, Thinned)
     while steps < max_steps:
-        count = min(4096, max_steps - steps)
+        count = min(512, max_steps - steps)
         block = move_rng.random(count).tolist()
         if thinned:
             skip = min(count, max(0, mode.transient - steps))
@@ -282,6 +282,8 @@ CORRUPT_CACHES = {
     "offsets_end_short": ({**_PATH3, "offsets": [0, 1, 3, 3]}, "offsets"),
     "neighbor_negative": ({**_PATH3, "neighbors": [1, 0, 2, -1]}, "neighbors"),
     "neighbor_is_n": ({**_PATH3, "neighbors": [1, 0, 3, 1]}, "neighbors"),
+    "neighbor_of_degree_0": ({**_PATH3, "offsets": [0, 1, 3, 3], "neighbors": [1, 0, 2]},
+                             "neighbors"),
     "original_ids_short": ({**_PATH3, "original_ids": [0, 1]}, "original_ids"),
     "offsets_float": ({**_PATH3, "offsets": [0, 1.9, 3, 4]}, "offsets"),
     "neighbors_float": ({**_PATH3, "neighbors": [1.0, 0.0, 2.0, 1.0]}, "neighbors"),

@@ -428,9 +428,9 @@ class TestDetection:
              thinned=True, transient=5, max_steps=300, level=0.872)
     @example(graph_seed=1, n=8, walk_seed=15, rule="r0", k_choice=3,
              thinned=True, transient=5, max_steps=300, level=0.872)
-    # past the first draw of 4096 move uniforms (levels beyond 1 are sample
+    # past the first eight 512-step blocks (levels beyond 1 are sample
     # budgets the strategy does not reach):
-    # m = 4096, so the budget runs out on the last step of the first draw
+    # m = 4096, so the budget runs out on the last step of the eighth block
     @example(graph_seed=1, n=14, walk_seed=0, rule="fixed", k_choice=3,
              thinned=False, transient=5, max_steps=5000, level=10.238)
     # rule 2 with b_bar = k fires at raw step 4279

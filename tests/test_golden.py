@@ -222,7 +222,7 @@ ISOLATED_ARGS = {
 
 # hitting: low alpha and a short --max-steps, so 11 of 30 trials time out and
 # one hits on the last allowed step; accuracy_thinned: a thinning transient
-# that ends inside the second 4096-step move block; accuracy_timeout: every
+# that ends inside the ninth 512-step move block; accuracy_timeout: every
 # trial stops at --max-steps, so the grid points from 801 on hold the counts
 # at 800
 EXPERIMENT_ARGS = {

@@ -412,9 +412,7 @@ class TestGraphConstruction:
         wide = data.draw(st.lists(INT64_IDS, min_size=n, max_size=n))
         for ids in (np.arange(n) * 7 + 3, np.array(wide, dtype=np.int64)):
             relabelled = dw.Graph(g.offsets, g.neighbors, ids)
-            for original in (True, False):
-                assert (list(relabelled.to_edge_lines(original))
-                        == edge_lines_reference(relabelled, original))
+            assert list(relabelled.to_edge_lines()) == edge_lines_reference(relabelled)
 
 
     @settings(max_examples=100, deadline=None)
@@ -441,7 +439,6 @@ class TestEdgeLines:
         for n in (0, 1, 5):
             g = dw.Graph.from_edges(np.empty((0, 2), dtype=np.int64), n=n)
             assert list(g.to_edge_lines()) == []
-            assert list(g.to_edge_lines(original_ids=False)) == []
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
     def test_lines_across_chunks(self, chunk, monkeypatch):
@@ -456,6 +453,4 @@ class TestEdgeLines:
         pool += [(-1) ** i * 10 ** i for i in range(19)]
         ids = rng.choice(np.array(pool, dtype=np.int64), size=g.n, replace=False)
         for relabelled in (g, dw.Graph(g.offsets, g.neighbors, ids)):
-            for original in (True, False):
-                assert (list(relabelled.to_edge_lines(original))
-                        == edge_lines_reference(relabelled, original))
+            assert list(relabelled.to_edge_lines()) == edge_lines_reference(relabelled)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import degreewalk as dw
 from degreewalk.analytics import transition_matrix
-from degreewalk.walk import (EveryStep, Thinned, WalkConfig, WalkStuckError,
+from degreewalk.walk import (EveryStep, Thinned, WalkConfig, WalkStuckError, _walk,
                              sample_stream, walk_until_hit)
 
 from helpers import (random_connected_graph, reference_hit, reference_stream,
@@ -66,15 +66,25 @@ class TestStep:
         first = next(sample_stream(g, WalkConfig(alpha=1.0, seed=0), start=2))
         assert 0 <= first.node < 3 and first.step_index == 1
 
+    def test_stuck_start_draws_nothing(self):
+        """A stuck start raises before the first draw, so a generator that
+        later walks share is left as it was."""
+        g = dw.Graph.from_edges(np.array([[0, 1]]), n=3)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(WalkStuckError, match="^stuck: zero degree, zero jump rate$"):
+            next(_walk(g, 0.0, rng, 2, 1000))
+        assert rng.bit_generator.state == state
+
     def test_counters_advance(self, star4):
         cfg = WalkConfig(alpha=0.5, seed=4, max_steps=10)
         got = [s.step_index for s in sample_stream(star4, cfg, start=0)]
         assert got == list(range(1, 11))
 
 
-# transients that end inside the first 4096-step draw, on its last step,
-# inside the second draw, past the second draw, on the last step of the
-# first 512-step block and on the first step of the second block
+# transients that end inside the first 512-step block, on its last step,
+# on the first step of the second block, on the last step of the eighth
+# block, inside the ninth block and inside the seventeenth
 KERNEL_MODES = [EveryStep(), Thinned(transient=100, q=0.3),
                 Thinned(transient=4096, q=0.5), Thinned(transient=4500, q=0.6),
                 Thinned(transient=8200, q=0.9), Thinned(transient=512, q=0.4),
@@ -137,12 +147,15 @@ class TestWalkUntilHit:
                  for i in range(100_000)]
         assert abs(np.mean(times) - 0.75) <= 0.01
 
-    @pytest.mark.parametrize("steps", [4096, 4097])
-    def test_hit_at_draw_edge(self, steps):
-        """A first visit on the last step paid by the first draw of move
-        uniforms, or on the first step of the second draw, is found there."""
+    # each seed's walk makes a first visit on that step
+    @pytest.mark.parametrize("steps, seed", [(512, 2), (513, 2), (4096, 1), (4097, 1)],
+                             ids=["512", "513", "4096", "4097"])
+    def test_hit_at_draw_edge(self, steps, seed):
+        """A first visit on the last step paid by a block's draw of move
+        uniforms, or on the first step of the next draw, is found there:
+        after the first block, and after the eighth."""
         g = dw.generate_pa(dw.PAConfig(n=20_000, edges_per_node=1, seed=3))
-        cfg = WalkConfig(alpha=1.0, seed=1, max_steps=10_000)
+        cfg = WalkConfig(alpha=1.0, seed=seed, max_steps=10_000)
         nodes = [v for v, _, _ in walk_reference(g, cfg.alpha, np.random.default_rng(cfg.seed),
                                                  None, 0, steps)]
         target = nodes[-1]
