@@ -15,8 +15,8 @@ from .detector import (CandidateList, StopDecision, coverage_score,
 from .generators import (ConfigModelConfig, PAConfig, ParetoTail,
                          generate_config_model, generate_pa, hill_estimate,
                          pair_stubs, sample_degrees)
-from .graph import (DegreeRecord, EdgeListParseError, Graph, degree,
-                    exact_top_k, ingest_edge_list, load_edge_list)
+from .graph import (DegreeRecord, EdgeListParseError, Graph, exact_top_k,
+                    ingest_edge_list, load_edge_list)
 from .walk import (EveryStep, Sample, Thinned, WalkConfig, WalkStuckError,
                    sample_stream, walk_until_hit)
 

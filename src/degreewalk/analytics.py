@@ -128,11 +128,13 @@ def hitting_time_exact(g: Graph, alpha: float, target: int,
         raise UnreachableTargetError(
             "unreachable target: alpha=0 and the graph does not connect "
             "every node to the target")
-    w = g.degrees + alpha
+    # solve in units of 2**e > max(w): exact, so h is unchanged, and no huge alpha overflows
+    e = math.frexp(int(g.degrees.max()) + alpha)[1]
+    w, jump = np.ldexp(g.degrees + alpha, -e), np.ldexp(alpha, -e) / g.n
     src = np.repeat(np.arange(g.n), g.degrees)
 
     def kernel(x):  # x[target] is 0 on every call, so only its row is zeroed
-        y = w * x - np.bincount(src, x[g.neighbors], g.n) - alpha / g.n * x.sum()
+        y = w * x - np.ldexp(np.bincount(src, x[g.neighbors], g.n), -e) - jump * x.sum()
         y[target] = 0.0
         return y
 
@@ -149,7 +151,7 @@ def hitting_time_exact(g: Graph, alpha: float, target: int,
         rr, rr_old = r @ r, rr
         p = r + rr / rr_old * p
     if not (rr <= tol and np.isfinite(h).all()
-            and np.abs(kernel(h) - b).max() <= 1e-6 * max(1.0, np.abs(h).max())):
+            and np.abs(kernel(h) - b).max() <= 1e-6 * w.max() * max(1.0, np.abs(h).max())):
         raise UnreachableTargetError("singular hitting-time system: solve did not converge")
 
     if nu is None:

@@ -182,11 +182,11 @@ def _cmd_analyze(args) -> int:
         _emit(args, lines)
         return 0
     if args.what == "return-time":
-        print(f"return_time={analytics.expected_return_time_max(g, alpha)!r}")
+        _emit(args, [f"return_time={analytics.expected_return_time_max(g, alpha)!r}"])
         return 0
     target = args.target if args.target is not None else exact_top_k(g, 1)[0].node
     value = analytics.hitting_time_exact(g, alpha, target, nu=nu)
-    print(f"hitting_time={value!r} target={target}")
+    _emit(args, [f"hitting_time={value!r} target={target}"])
     return 0
 
 

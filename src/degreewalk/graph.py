@@ -59,15 +59,42 @@ class Graph:
 
     def __init__(self, offsets: np.ndarray, neighbors: np.ndarray,
                  original_ids: np.ndarray | None = None):
-        self.offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        self.neighbors = np.ascontiguousarray(neighbors, dtype=np.int64)
-        self.n = len(self.offsets) - 1
-        self.degrees = np.diff(self.offsets)
-        self.m_edges = int(len(self.neighbors) // 2)
+        """Check and store a CSR. The walk reads degrees from offsets, so
+        ValueError names the array when one is not 1-D integers that fit
+        int64, offsets does not start at 0, decreases or does not end at
+        len(neighbors), a neighbor lies outside [0, n) or has degree 0
+        (where a walk with alpha = 0 is stuck), or original_ids is not n
+        non-negative ids. Adjacency symmetry is not checked."""
         if original_ids is None:
-            original_ids = np.arange(self.n, dtype=np.int64)
-        self.original_ids = np.asarray(original_ids, dtype=np.int64)
-        for arr in (self.offsets, self.neighbors, self.degrees, self.original_ids):
+            original_ids = np.arange(max(np.size(offsets) - 1, 0))
+        arrays = [np.asarray(a) for a in (offsets, neighbors, original_ids)]
+        for m, a in zip(_CACHE_MEMBERS, arrays):  # an empty list is float64
+            if a.ndim != 1 or a.size and (a.dtype.kind not in "iu"
+                                          or not np.can_cast(a.dtype, np.int64)):
+                raise ValueError(f"{m}: {a.ndim}-D {a.dtype}, "
+                                 "not 1-D integers that fit int64")
+        off, nbr, ids = (np.ascontiguousarray(a, dtype=np.int64) for a in arrays)
+        n = len(off) - 1
+        degrees = np.diff(off)
+        low = degrees.min(initial=1)  # 1 when there are no degrees
+        if len(off) == 0 or off[0] != 0:
+            raise ValueError("offsets: must start with 0")
+        if low < 0:
+            raise ValueError("offsets: decreases")
+        if off[-1] != len(nbr):
+            raise ValueError(f"offsets: ends at {off[-1]}, not len(neighbors) = {len(nbr)}")
+        if len(nbr) and not (0 <= nbr.min() and nbr.max() < n):
+            raise ValueError(f"neighbors: an id lies outside [0, {n})")
+        if low == 0 and not degrees[nbr].all():
+            raise ValueError("neighbors: lists a node of degree 0")
+        if len(ids) != n:
+            raise ValueError(f"original_ids: length {len(ids)}, not n = {n}")
+        if len(ids) and ids.min() < 0:
+            raise ValueError("original_ids: an id is negative")
+        self.n, self.offsets, self.neighbors, self.degrees = n, off, nbr, degrees
+        self.m_edges = len(nbr) // 2
+        self.original_ids = ids
+        for arr in (off, nbr, degrees, ids):
             arr.setflags(write=False)
 
     # -- construction ------------------------------------------------------
@@ -146,7 +173,7 @@ class Graph:
         off, nbr, ids = self.offsets, self.neighbors, self.original_ids
         if not len(nbr):
             return
-        udt = np.uint64 if max(int(ids.max()), -int(ids.min())) >= 2 ** 32 else np.uint32
+        udt = np.uint64 if int(ids.max()) >= 2 ** 32 else np.uint32
         for start in range(0, len(nbr), 2 * _EDGE_CHUNK):
             stop = min(start + 2 * _EDGE_CHUNK, len(nbr))
             # the source node of each arc in [start, stop)
@@ -171,52 +198,28 @@ class Graph:
     @classmethod
     def load_npz(cls, path) -> "Graph":
         """Read a cache written by save_npz (or np.savez_compressed).
-
-        The walk reads degrees from offsets, so the arrays must form a
-        valid CSR. ValueError names the member when one is missing or not
-        1-D integers that fit int64, offsets does not start at 0, decreases
-        or does not end at len(neighbors), a neighbor lies outside [0, n)
-        or has degree 0 (where a walk with alpha = 0 is stuck), or
-        len(original_ids) != n. Adjacency symmetry is not checked."""
+        ValueError names the path and the member that is missing or that
+        the constructor rejects."""
         with np.load(path) as data:
             missing = [m for m in _CACHE_MEMBERS if m not in data.files]
             if missing:
                 raise ValueError(f"graph cache {path}: {missing[0]}: missing")
             arrays = [data[m] for m in _CACHE_MEMBERS]
-        for m, a in zip(_CACHE_MEMBERS, arrays):
-            if a.ndim != 1 or a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int64):
-                raise ValueError(f"graph cache {path}: {m}: {a.ndim}-D {a.dtype}, "
-                                 "not 1-D integers that fit int64")
-        g = cls(*arrays)
-        off, nbr = g.offsets, g.neighbors
-        if len(off) == 0 or off[0] != 0:
-            fault = "offsets: must start with 0"
-        elif np.any(off[1:] < off[:-1]):
-            fault = "offsets: decreases"
-        elif off[-1] != len(nbr):
-            fault = f"offsets: ends at {off[-1]}, not len(neighbors) = {len(nbr)}"
-        elif len(nbr) and not (0 <= nbr.min() and nbr.max() < g.n):
-            fault = f"neighbors: an id lies outside [0, {g.n})"
-        elif (g.degrees == 0).any() and not g.degrees[nbr].all():
-            fault = "neighbors: lists a node of degree 0"
-        elif len(g.original_ids) != g.n:
-            fault = f"original_ids: length {len(g.original_ids)}, not n = {g.n}"
-        else:
-            return g
-        raise ValueError(f"graph cache {path}: {fault}")
+        try:
+            return cls(*arrays)
+        except ValueError as exc:
+            raise ValueError(f"graph cache {path}: {exc}") from None
 
 
 def _edge_text(pairs: np.ndarray, udt: type) -> str:
-    """Format (u, v) int64 id pairs as "u v\\n" lines, each id exactly as
-    str() writes it. Digits are taken with udt (np.uint32 or np.uint64)
-    arithmetic, which must hold every |id|."""
-    ids = pairs.ravel()
-    neg = ids < 0
-    mag = np.abs(ids).astype(udt)  # abs(-2**63) wraps, and casts to 2**63
-    width = np.searchsorted(_POW10[udt], mag, side="right") + 1 + neg
+    """Format (u, v) non-negative int64 id pairs as "u v\\n" lines, each id
+    exactly as str() writes it. Digits are taken with udt (np.uint32 or
+    np.uint64) arithmetic, which must hold every id."""
+    mag = pairs.ravel().astype(udt)
+    width = np.searchsorted(_POW10[udt], mag, side="right") + 1
     w = int(width.max())
     # one row per id: right-aligned in w columns, then its separator
-    rows = np.empty((len(ids), w + 1), dtype=np.uint8)
+    rows = np.empty((len(mag), w + 1), dtype=np.uint8)
     rows[0::2, w] = ord(" ")
     rows[1::2, w] = ord("\n")
     ten = udt(10)
@@ -225,7 +228,6 @@ def _edge_text(pairs: np.ndarray, udt: type) -> str:
         np.add(mag - quot * ten, ord("0"), out=rows[:, j], casting="unsafe")
         mag = quot
     lead = w - width
-    rows[np.flatnonzero(neg), lead[neg]] = ord("-")
     # row i keeps columns lead[i]..w: one take from a (w+1)^2 table is ~4x
     # faster than broadcasting the comparison over rows of w+1 bytes
     cols = np.arange(w + 1)
@@ -387,7 +389,3 @@ def exact_top_k(g: Graph, k: int) -> list[DegreeRecord]:
     cand = np.argpartition(-key, k - 1)[:k] if k < g.n else np.arange(g.n)
     top = cand[np.argsort(-key[cand], kind="stable")]
     return [DegreeRecord(int(i), int(g.degrees[i])) for i in top]
-
-
-def degree(g: Graph, i: int) -> int:
-    return g.degree(i)

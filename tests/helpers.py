@@ -271,7 +271,8 @@ def exact_top_k_sort(g: Graph, k: int) -> list[DegreeRecord]:
     return [DegreeRecord(int(i), int(g.degrees[i])) for i in top]
 
 
-# Graph caches that load_npz must reject: name -> (members, faulty member).
+# Graph caches that load_npz must reject, and, less the no_* rows, arrays
+# the Graph constructor must reject: name -> (members, faulty member).
 # The base is the path 0-1-2: offsets [0, 1, 3, 4], neighbors [1, 0, 2, 1].
 # Members are saved as given, so a list of ints is stored as int64.
 _PATH3 = {"offsets": [0, 1, 3, 4], "neighbors": [1, 0, 2, 1], "original_ids": [0, 1, 2]}
@@ -285,6 +286,7 @@ CORRUPT_CACHES = {
     "neighbor_of_degree_0": ({**_PATH3, "offsets": [0, 1, 3, 3], "neighbors": [1, 0, 2]},
                              "neighbors"),
     "original_ids_short": ({**_PATH3, "original_ids": [0, 1]}, "original_ids"),
+    "original_ids_negative": ({**_PATH3, "original_ids": [0, -5, 2]}, "original_ids"),
     "offsets_float": ({**_PATH3, "offsets": [0, 1.9, 3, 4]}, "offsets"),
     "neighbors_float": ({**_PATH3, "neighbors": [1.0, 0.0, 2.0, 1.0]}, "neighbors"),
     "offsets_2d": ({**_PATH3, "offsets": [[0, 1], [3, 4]]}, "offsets"),

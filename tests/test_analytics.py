@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,23 @@ class TestHittingTimeExact:
         with pytest.raises(ValueError):
             hitting_time_exact(star4, 1.0, 0, nu=np.array([0.9, 0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("target, nu, name", [
+        (4, None, "target 4"), (-1, None, "target -1"),
+        (0, 4, "start node 4"), (0, -1, "start node -1")])
+    def test_node_out_of_range(self, star4, target, nu, name):
+        with pytest.raises(IndexError, match=rf"^{name} out of range \[0, 4\)$"):
+            hitting_time_exact(star4, 1.0, target, nu=nu)
+
+    @pytest.mark.parametrize("alpha", [1e300, 2.0 ** 63])
+    def test_huge_alpha_tends_to_uniform_jumps(self, alpha):
+        """Jumps dominate, so each step lands on the target with
+        probability 1/n and the uniform start waits n - 1 steps on average."""
+        g = random_connected_graph(50, 5.0, seed=17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h = hitting_time_exact(g, alpha, dw.exact_top_k(g, 1)[0].node)
+        assert h == pytest.approx(g.n - 1, rel=1e-9)
+
 
 class TestHittingTimeAsymptotic:
     def test_star_alpha0(self, star4):
@@ -181,6 +199,12 @@ class TestHittingTimeAsymptotic:
         for alpha in (0.0, 1.0):
             ratio = hitting_time_asymptotic(g, alpha) / hitting_time_exact(g, alpha, 0)
             assert 0.98 <= ratio <= 1.02
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_nodes_rejected(self, n):
+        g = dw.Graph.from_edges(np.empty((0, 2), dtype=np.int64), n=n)
+        with pytest.raises(ValueError, match="need at least 2 nodes"):
+            hitting_time_asymptotic(g, 1.0)
 
     def test_pa_scale_near_return_time(self, pa_graph):
         asym = hitting_time_asymptotic(pa_graph, 2.0)
@@ -227,6 +251,10 @@ class TestEvtPredict:
     def test_rank_beyond_sample_size_rejected(self, k):
         with pytest.raises(ValueError, match=r"k must be in \[1, n=1000\]"):
             evt_predict(PA_TAIL, 1000, k)
+
+    def test_rank_below_one_rejected(self):
+        with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
+            evt_predict(PA_TAIL, 1000, 2).degree_at_rank(0)
 
     def test_infinite_mean_regime_rejected(self):
         class FakeTail:
@@ -290,6 +318,10 @@ class TestExpectedCorrectCount:
         with pytest.raises(ValueError):
             expected_correct_count([0.1], 10, "bogus")
 
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="m must be >= 0, got -1"):
+            expected_correct_count([0.1], -1)
+
 
 class TestTransitionMatrix:
     def test_triangle_alpha3(self, triangle):
@@ -299,6 +331,11 @@ class TestTransitionMatrix:
         want = np.full((3, 3), off)
         np.fill_diagonal(want, diag)
         assert np.allclose(P, want, atol=1e-15)
+
+    def test_isolated_node_at_alpha0_rejected(self):
+        g = dw.Graph.from_edges(np.array([[0, 1]]), n=3)
+        with pytest.raises(ValueError, match="alpha=0 with an isolated node"):
+            transition_matrix(g, 0.0)
 
     def test_rows_sum_to_one(self):
         g = random_connected_graph(30, 4.0, seed=4)

@@ -310,6 +310,14 @@ class TestAnalyze:
         want = dw.hitting_time_exact(g, 2.0, target)
         assert f"hitting_time={want!r} target={target}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("what, line", [("return-time", "return_time=2.0"),
+                                            ("hitting", "hitting_time=0.75 target=0")])
+    def test_out_file(self, what, line, star_file, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        assert main(["analyze", what, star_file, "--alpha", "0", "--out", str(out)]) == 0
+        assert out.read_text() == line + "\n"
+        assert capsys.readouterr().out == ""
+
     def test_bad_nu_spec(self, star_file, capsys):
         for spec in ("everywhere", "node:abc"):
             assert main(["analyze", "hitting", star_file, "--nu", spec]) == 1, spec
@@ -432,6 +440,7 @@ def hostile_files(tmp_path_factory):
     return files
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestHostileFlags:
     @settings(max_examples=300, deadline=None)
     @given(case=st.sampled_from(HOSTILE_CASES), value=st.sampled_from(HOSTILE_VALUES))

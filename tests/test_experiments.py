@@ -113,6 +113,12 @@ class TestStoppingEval:
         for trial, raw_steps, samples, correct, full, fired in rows:
             assert raw_steps == 0 and samples == 0 and correct == 0 and fired == 1
 
+    @pytest.mark.parametrize("field, runs, k", [("runs", 0, 1), ("k", 1, 0)])
+    def test_plan_below_one_rejected(self, field, runs, k):
+        cfg = WalkConfig(alpha=1.0, seed=0, max_steps=100)
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+            StoppingEvalPlan(walk=cfg, k=k, rule="r1", threshold=0.5, runs=runs)
+
     def test_small_graph_detection_quality(self):
         g = random_connected_graph(30, 4.0, seed=1)
         cfg = WalkConfig(alpha=2.0, seed=0, max_steps=200_000,

@@ -269,3 +269,8 @@ class TestHillEstimator:
     def test_degenerate_tail_rejected(self):
         with pytest.raises(ValueError):
             dw.hill_estimate(np.full(1000, 7.0))
+
+    def test_sample_too_small_rejected(self):
+        # two top order statistics and the threshold need three values
+        with pytest.raises(ValueError, match="sample too small"):
+            dw.hill_estimate(np.array([5.0, 3.0]))

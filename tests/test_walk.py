@@ -187,6 +187,13 @@ class TestWalkUntilHit:
         cfg = WalkConfig(alpha=0.0, seed=0, max_steps=5000)
         assert walk_until_hit(two_triangles, cfg, 3, 0) is None
 
+    @pytest.mark.parametrize("start, target, name", [
+        (0, 4, "target 4"), (0, -1, "target -1"),
+        (4, 0, "start node 4"), (-1, 0, "start node -1")])
+    def test_node_out_of_range(self, star4, start, target, name):
+        with pytest.raises(IndexError, match=rf"^{name} out of range \[0, 4\)$"):
+            walk_until_hit(star4, WalkConfig(alpha=1.0, seed=0), start, target)
+
 
 class TestSampleStream:
     def test_thinned_q1_equals_everystep(self, star4):
@@ -228,6 +235,10 @@ class TestSampleStream:
                          mode=Thinned(transient=5, q=0.4))
         assert (list(sample_stream(triangle, cfg))
                 == list(sample_stream(triangle, cfg)))
+
+    def test_start_out_of_range(self, star4):
+        with pytest.raises(IndexError, match=r"^start node 4 out of range \[0, 4\)$"):
+            next(sample_stream(star4, WalkConfig(alpha=1.0, seed=0), start=4))
 
     def test_bounded_by_max_steps(self, triangle):
         cfg = WalkConfig(alpha=1.0, seed=0, max_steps=50, mode=EveryStep())
