@@ -31,6 +31,8 @@ GOLDEN = {
         "7c4772da719f7a34dbdd8d78809298b02406bcc0548b0ad4dad35826462ac197",
     "arrays_generate_pa_lemire_reject":
         "bcf2a0f7e7d734c055afb770deb9a3ed33a43933cb5569fd2a4d6c2f6492edb5",
+    "arrays_generate_pa_ingest":
+        "b667cc4be59ecd2a0cc6f470e9d85c62a98f8abfbc0781f851f504e7f91fab35",
     "arrays_generate_cm":
         "d3e8476c317e13e7cd45ed278b28fb02019ed31c7225dae18ed4136e7ed46bc6",
     "arrays_load_edge_list":
@@ -165,11 +167,15 @@ class TestGoldenOutputs:
         assert graph_sha(dw.Graph.load_npz(cache)) == GOLDEN["arrays_load_npz"]
 
     def test_generate_pa_arrays_at_bench_scale(self, pa_graph):
-        """The bench and fixture graph, and a seed whose uniform picks make a
-        Lemire rejection in numpy's bounded-integer draw."""
+        """The bench and fixture graph, a seed whose uniform picks make a
+        Lemire rejection in numpy's bounded-integer draw, and the 1e6-node
+        ingest tree, whose rejections fall in several word chunks."""
         reject = dw.generate_pa(dw.PAConfig(n=20_000, seed=184))
         assert graph_sha(pa_graph) == GOLDEN["arrays_generate_pa_bench"]
         assert graph_sha(reject) == GOLDEN["arrays_generate_pa_lemire_reject"]
+        ingest = dw.generate_pa(dw.PAConfig(
+            n=1_000_000, edges_per_node=1, attractiveness=0.5, seed=7))
+        assert graph_sha(ingest) == GOLDEN["arrays_generate_pa_ingest"]
 
     def test_edge_text_at_bench_scale(self, pa_graph):
         """The bench graph's text, as the bench writes it: two formatting
