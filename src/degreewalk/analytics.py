@@ -145,12 +145,15 @@ def hitting_time_exact(g: Graph, alpha: float, target: int,
         if rr <= tol:
             break
         kp = kernel(p)
-        step = rr / (p @ kp)
+        curv = p @ kp
+        if not curv > 0.0:  # the system is singular in double precision
+            break
+        step = rr / curv
         h += step * p
         r -= step * kp
         rr, rr_old = r @ r, rr
         p = r + rr / rr_old * p
-    if not (rr <= tol and np.isfinite(h).all()
+    if not (rr <= tol and np.isfinite(h).all() and h.min() >= 0.0
             and np.abs(kernel(h) - b).max() <= 1e-6 * w.max() * max(1.0, np.abs(h).max())):
         raise UnreachableTargetError("singular hitting-time system: solve did not converge")
 

@@ -15,7 +15,7 @@ import numpy as np
 from .graph import _MAX_NODES, Graph
 
 # raw words per random_raw call when _pa_tree_targets replays a seed's draws
-_WORD_CHUNK = 1 << 16
+_WORD_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,10 @@ def generate_pa(cfg: PAConfig) -> Graph:
     replaying the generator's draws from its raw words (_pa_tree_targets):
     numpy settles every word safely below the stub-pick threshold, a Python
     scan visits only the others, deciding those near the threshold with
-    the loop's own float ops, and a rejected uniform draw restarts the scan
-    after its node. The offsets, neighbors and original_ids are identical,
-    dtypes included, to those of the per-node loop, which builds every
-    other configuration.
+    the loop's own float ops, and a rejected uniform draw carries the words
+    after its node into the next scan. The offsets, neighbors and
+    original_ids are identical, dtypes included, to those of the per-node
+    loop, which builds every other configuration.
 
     Returns:
         Graph with n nodes and roughly edges_per_node * n edges.
@@ -172,20 +172,20 @@ def _pa_tree_targets(n: int, a: float, seed: int) -> np.ndarray:
     first, while the bit generator keeps the high half for the next 32-bit
     draw. random() neither reads nor clears that kept half.
 
-    The words come from random_raw a chunk at a time. The pick threshold
-    2(t-1) / (2(t-1) + a*t) rises with t, so a word below its value at the
-    scan's first node, less a 1e-9 margin, picks a stub if it is a random()
-    word; only the other words are candidates. A Python scan over the
-    candidates skips each one that the pick before it took as a fresh word,
-    decides those in the narrow band below the threshold at the scan's last
-    node with the loop's own float ops, and records the offsets of the
-    uniform picks. The picks alternate between taking a fresh word and
-    using the kept half, so numpy derives each pick's node and 32-bit draw
-    from the offsets alone, checks Lemire's acceptance for all of them and
-    writes every node's stub. At the first rejected draw the picks before
-    it are kept, that node's draws are replayed word by word, and the scan
-    restarts after its last word. A node whose fresh word lies past the
-    chunk is left, with its words, to the next chunk.
+    Each pass appends a chunk from random_raw to the words the last pass
+    left, and scans them from node t's random() word. The pick threshold
+    2(t-1) / (2(t-1) + a*t) rises with t, so a word below its value at t,
+    less a 1e-9 margin, picks a stub if it is a random() word; only the
+    other words are candidates. A Python scan over the candidates skips
+    each one that the pick before it took as a fresh word, decides those in
+    the narrow band below the threshold at the scan's last node with the
+    loop's own float ops, and records the offsets of the uniform picks. The
+    picks alternate between taking a fresh word and using the kept half, so
+    numpy derives each pick's node and 32-bit draw from the offsets alone,
+    checks Lemire's acceptance for all of them and writes the stub of every
+    node before the first rejected draw, or before a pick whose fresh word
+    is not drawn yet. A rejected node's draws are replayed word by word,
+    and the words after the last node written go to the next pass.
 
     Stub 2(s-1) is node s and stub 2(s-1)+1 is node s's target, so each
     node records one stub (a uniform pick v as stub 2(v-1)) and pointer
@@ -195,75 +195,66 @@ def _pa_tree_targets(n: int, a: float, seed: int) -> np.ndarray:
     low = np.uint64(0xFFFFFFFF)
     stub = np.empty(n - 1, dtype=np.int64)
     stub[0] = -2  # node 1 joins node 0
-    t = 2  # the node whose random() word is words[start]
+    t = 2  # the node whose random() word is words[0]
     half = None  # the high half integers() keeps of its last fresh word
-    words, start = np.empty(0, dtype=np.uint64), 0
+    words = np.empty(0, dtype=np.uint64)
     while t < n:
-        words = np.concatenate((words[start:], raw(_WORD_CHUNK)))
-        r = (words >> np.uint64(11)) * 2.0 ** -53
-        start = 0
-        while t < n and start < len(words):
-            # without a rejection no node takes more than two words
-            seg = r[start:start + 2 * (n - t)]
-            t_end = t + len(seg)
-            lo = 2 * (t - 1) / (2 * (t - 1) + a * t) * (1 - 1e-9)
-            hi = 2 * (t_end - 1) / (2 * (t_end - 1) + a * t_end) * (1 + 1e-9)
-            cand = np.flatnonzero(seg >= lo)
-            offsets: list[int] = []
-            append = offsets.append
-            skip, fresh, kept = -1, 0, half is not None
-            for c, rc in zip(cand.tolist(), seg[cand].tolist()):
-                if c == skip:
-                    continue
-                if rc < hi:
-                    tc = t + c - fresh
-                    if rc * (2 * (tc - 1) + a * tc) < 2 * (tc - 1):
-                        continue
-                append(c)
-                if kept:
-                    kept = False
-                else:
-                    kept, fresh, skip = True, fresh + 1, c + 1
-
-            pick = np.array(offsets, dtype=np.int64)
-            takes = np.arange(len(pick)) % 2 == (half is not None)
-            node = t + pick - (np.cumsum(takes) - takes)
-            m = int(np.searchsorted(node, n))
-            spill = m > 0 and takes[m - 1] and start + pick[m - 1] + 1 == len(words)
-            if spill:
-                m -= 1
-            fresh_words = words[start + 1 + pick[:m][takes[:m]]]
-            # the 32-bit draws in the order integers() reads them
-            halves = np.stack((fresh_words & low, fresh_words >> np.uint64(32)),
-                              axis=1).ravel()
-            if half is not None:
-                halves = np.concatenate(([np.uint64(half)], halves))
-            bound = node[:m].astype(np.uint64)
-            prod = halves[:m] * bound
-            rejected = (prod & low) < (np.uint64(1 << 32) - bound) % bound
-            k = int(np.argmax(rejected)) if rejected.any() else m
-
-            # every node before pick k: stubs, then the accepted uniform picks
-            end = int(pick[k]) if k < m or spill else len(seg)
-            is_node = np.ones(end, dtype=bool)
-            is_node[pick[:k][takes[:k]] + 1] = False
-            at = np.flatnonzero(is_node)[:n - t]
-            nodes = np.arange(t, t + len(at))
-            # a huge a overflows a*t to inf, and a pick's u to inf or nan
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = seg[at] * (2 * (nodes - 1) + a * nodes)
-                stub[nodes - 1] = u.astype(np.int64)
-            stub[node[:k] - 1] = 2 * (prod[:k] >> np.uint64(32)).astype(np.int64) - 2
-            t += len(at)
-            half = int(halves[k]) if (k + (half is not None)) % 2 else None
-            start += end
-            if k == m:
-                if spill:
-                    break
+        words = np.concatenate((words, raw(_WORD_CHUNK)))
+        # without a rejection no node takes more than two words
+        seg = (words[:2 * (n - t)] >> np.uint64(11)) * 2.0 ** -53
+        t_end = t + len(seg)
+        lo = 2 * (t - 1) / (2 * (t - 1) + a * t) * (1 - 1e-9)
+        hi = 2 * (t_end - 1) / (2 * (t_end - 1) + a * t_end) * (1 + 1e-9)
+        cand = np.flatnonzero(seg >= lo)
+        offsets: list[int] = []
+        append = offsets.append
+        skip, fresh, kept = -1, 0, half is not None
+        for c, rc in zip(cand.tolist(), seg[cand].tolist()):
+            if c == skip:
                 continue
+            if rc < hi:
+                tc = t + c - fresh
+                if rc * (2 * (tc - 1) + a * tc) < 2 * (tc - 1):
+                    continue
+            append(c)
+            if kept:
+                kept = False
+            else:
+                kept, fresh, skip = True, fresh + 1, c + 1
 
-            # node t's uniform pick had a draw rejected: replay its draws
-            x, h, next_word = half, None, start + 1
+        pick = np.array(offsets, dtype=np.int64)
+        takes = np.arange(len(pick)) % 2 == (half is not None)
+        node = t + pick - (np.cumsum(takes) - takes)
+        m = int(np.searchsorted(node, n))
+        if m and takes[m - 1] and pick[m - 1] + 1 == len(words):
+            m -= 1  # its fresh word is not drawn yet
+        fresh_words = words[1 + pick[:m][takes[:m]]]
+        # the 32-bit draws in the order integers() reads them
+        halves = np.stack((fresh_words & low, fresh_words >> np.uint64(32)),
+                          axis=1).ravel()
+        if half is not None:
+            halves = np.concatenate(([np.uint64(half)], halves))
+        bound = node[:m].astype(np.uint64)
+        prod = halves[:m] * bound
+        rejected = (prod & low) < (np.uint64(1 << 32) - bound) % bound
+        k = int(np.argmax(rejected)) if rejected.any() else m
+
+        # every node before pick k: stubs, then the accepted uniform picks
+        end = int(pick[k]) if k < len(pick) else len(seg)
+        is_node = np.ones(end, dtype=bool)
+        is_node[pick[:k][takes[:k]] + 1] = False
+        at = np.flatnonzero(is_node)[:n - t]
+        nodes = np.arange(t, t + len(at))
+        # a huge a overflows a*t to inf, and a pick's u to inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = seg[at] * (2 * (nodes - 1) + a * nodes)
+            stub[nodes - 1] = u.astype(np.int64)
+        stub[node[:k] - 1] = 2 * (prod[:k] >> np.uint64(32)).astype(np.int64) - 2
+        t += len(at)
+        half = int(halves[k]) if (k + (half is not None)) % 2 else None
+
+        if k < m:  # node t's uniform pick had a draw rejected: replay its draws
+            x, h, next_word = half, None, end + 1
             while True:
                 if x is None:
                     if next_word == len(words):
@@ -275,10 +266,10 @@ def _pa_tree_targets(n: int, a: float, seed: int) -> np.ndarray:
                 if (prod & 0xFFFFFFFF) >= (0x100000000 - t) % t:
                     break
                 x, h = h, None
-            if x is None:  # its words run past the chunk
-                break
-            stub[t - 1] = 2 * (prod >> 32) - 2
-            t, half, start = t + 1, h, next_word
+            if x is not None:  # else the next pass, with more words, replays it
+                stub[t - 1] = 2 * (prod >> 32) - 2
+                t, half, end = t + 1, h, next_word
+        words = words[end:]
 
     owner = np.concatenate(([0], (stub >> 1) + 1))  # owner[0] is unused
     up = np.arange(n)

@@ -64,7 +64,9 @@ class Graph:
         int64, offsets does not start at 0, decreases or does not end at
         len(neighbors), a neighbor lies outside [0, n) or has degree 0
         (where a walk with alpha = 0 is stuck), or original_ids is not n
-        non-negative ids. Adjacency symmetry is not checked."""
+        non-negative ids. Adjacency symmetry is not checked. A contiguous
+        int64 array is kept as the graph's own and made read-only; any other
+        input is copied."""
         if original_ids is None:
             original_ids = np.arange(max(np.size(offsets) - 1, 0))
         arrays = [np.asarray(a) for a in (offsets, neighbors, original_ids)]

@@ -89,6 +89,7 @@ def _walk(g: Graph, alpha: float, rng: np.random.Generator, start: int,
     at most one block of draws unused. With alpha == 0 the walk only
     follows edges and so can stand on a zero-degree node only at the start;
     WalkStuckError is raised there, before the first draw.
+    As r < pj, a jump r/pj * n stays below n < 2**53; j can round up to d.
     """
     cur = start
     steps = 0
@@ -108,8 +109,6 @@ def _walk(g: Graph, alpha: float, rng: np.random.Generator, start: int,
             if r < pj:
                 # reuse the branch uniform: r/pj is uniform given the jump
                 cur = int(r / pj * n)
-                if cur >= n:
-                    cur = n - 1
             else:
                 j = int((r - pj) / (1.0 - pj) * d)
                 cur = neighbors[lo + (j if j < d else d - 1)]

@@ -139,6 +139,16 @@ class TestHittingTimeExact:
         # jumps make every node reachable
         assert hitting_time_exact(g, 1.0, 0) > 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [1e-16, 1e-100, 1e-300, 5e-324])
+    def test_alpha_too_small_for_double_precision(self, alpha):
+        """The hitting times grow like 1/alpha, past what CG can resolve
+        next to the degrees, so the solve is refused, not returned negative."""
+        g = dw.ingest_edge_list(["0 1", "1 2", "2 0", "3 4", "4 5", "5 3"])
+        with pytest.raises(UnreachableTargetError, match="did not converge"):
+            hitting_time_exact(g, alpha, 0)
+        assert hitting_time_exact(g, 1e-3, 0) == 2003.6671109628942
+
     def test_dense_cap(self, pa_graph):
         with pytest.raises(ValueError, match="Monte Carlo"):
             transition_matrix(pa_graph, 1.0)

@@ -360,11 +360,14 @@ class TestDetection:
         ("r0", 0.0, "a_bar"), ("r0", 2.0, "a_bar"), ("r1", float("nan"), "a_bar"),
         ("r2", float("nan"), "b_bar"), ("r2", float("inf"), "b_bar"),
         ("r2", -float("inf"), "b_bar"), ("r2", 2.000001, "b_bar"),
-        ("r2", 1e300, "b_bar")])
+        ("r2", 1e300, "b_bar"), ("fixed", 0, "m must be >= 1, got 0")])
     def test_bad_threshold_rejected(self, star4, rule, threshold, name):
         cfg = WalkConfig(alpha=1.0, seed=0, max_steps=10)
         with pytest.raises(ValueError, match=name):
-            detect_with_rule(star4, cfg, 2, rule, threshold)
+            if rule == "fixed":
+                detect_fixed_m_decision(star4, cfg, 2, threshold)
+            else:
+                detect_with_rule(star4, cfg, 2, rule, threshold)
 
     @pytest.mark.parametrize("transient, max_steps", [(10, 10), (2**63, 1_000_000)])
     @pytest.mark.parametrize("rule, threshold", [

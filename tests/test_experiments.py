@@ -38,6 +38,11 @@ class TestHittingTrials:
         rows9, _ = run_hitting_time(star4, mk(9))
         assert rows9[:5] == rows5
 
+    def test_plan_below_one_rejected(self):
+        cfg = WalkConfig(alpha=1.0, seed=0, max_steps=100)
+        with pytest.raises(ValueError, match="^runs must be >= 1, got 0$"):
+            HittingTimePlan(walk=cfg, runs=0)
+
 
 class TestAccuracyCurve:
     def test_zero_budget_point(self, star4):

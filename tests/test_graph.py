@@ -400,6 +400,21 @@ class TestGraphConstruction:
         assert list(g.degrees) == [4, 1, 1, 1, 1]
         check_graph_invariants(g)
 
+    def test_int64_arrays_kept_others_copied(self):
+        """A contiguous int64 array becomes the graph's own and read-only;
+        any other input is copied, and the caller's array stays writable."""
+        offsets = np.array([0, 1, 2], dtype=np.int64)
+        neighbors = np.array([1, 0], dtype=np.int64)
+        g = dw.Graph(offsets, neighbors)
+        assert g.offsets is offsets and g.neighbors is neighbors
+        assert not offsets.flags.writeable and not neighbors.flags.writeable
+        offsets32, strided = np.array([0, 1, 2], dtype=np.int32), np.array([1, 9, 0])[::2]
+        g = dw.Graph(offsets32, strided)
+        assert not np.shares_memory(g.offsets, offsets32)
+        assert not np.shares_memory(g.neighbors, strided)
+        assert offsets32.flags.writeable and strided.flags.writeable
+        assert not (g.offsets.flags.writeable or g.neighbors.flags.writeable)
+
     def test_key_overflow_rejected(self):
         # nothing of size n is allocated before the check
         with pytest.raises(ValueError, match="int64"):

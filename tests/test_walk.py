@@ -76,6 +76,23 @@ class TestStep:
             next(_walk(g, 0.0, rng, 2, 1000))
         assert rng.bit_generator.state == state
 
+    class _TopUniform:
+        """Every uniform is the largest double below 1."""
+
+        def random(self, size):
+            return np.full(size, np.nextafter(1.0, 0.0))
+
+    def test_largest_uniform_stays_in_range(self):
+        r, pj = np.nextafter(1.0, 0.0), 1.5 / (2 + 1.5)
+        # at node 1 of the path, (r - pj)/(1 - pj) rounds to 1.0, so j = d
+        assert (r - pj) / (1.0 - pj) == 1.0
+        path = dw.Graph.from_edges(np.array([[0, 1], [1, 2]]), n=3)
+        assert next(_walk(path, 1.5, self._TopUniform(), 1, 1)) == ([2], 0)
+        # every step jumps (pj = 1), and r * n stays below n
+        for n in (3, 1000, 10 ** 6):
+            edgeless = dw.Graph.from_edges(np.empty((0, 2), dtype=np.int64), n=n)
+            assert next(_walk(edgeless, 1.0, self._TopUniform(), 0, 1)) == ([n - 1], 0)
+
     def test_counters_advance(self, star4):
         cfg = WalkConfig(alpha=0.5, seed=4, max_steps=10)
         got = [s.step_index for s in sample_stream(star4, cfg, start=0)]
