@@ -172,8 +172,9 @@ def _pa_tree_targets(n: int, a: float, seed: int) -> np.ndarray:
     first, while the bit generator keeps the high half for the next 32-bit
     draw. random() neither reads nor clears that kept half.
 
-    Each pass appends a chunk from random_raw to the words the last pass
-    left, and scans them from node t's random() word. The pick threshold
+    Each pass scans the words the last pass left, from node t's random()
+    word, after appending a chunk from random_raw if less than a chunk is
+    left or the last pass wrote no node. The pick threshold
     2(t-1) / (2(t-1) + a*t) rises with t, so a word below its value at t,
     less a 1e-9 margin, picks a stub if it is a random() word; only the
     other words are candidates. A Python scan over the candidates skips
@@ -198,8 +199,11 @@ def _pa_tree_targets(n: int, a: float, seed: int) -> np.ndarray:
     t = 2  # the node whose random() word is words[0]
     half = None  # the high half integers() keeps of its last fresh word
     words = np.empty(0, dtype=np.uint64)
+    t_last = 0  # t when the last pass began
     while t < n:
-        words = np.concatenate((words, raw(_WORD_CHUNK)))
+        if len(words) < _WORD_CHUNK or t == t_last:  # rescans stay near 2 chunks
+            words = np.concatenate((words, raw(_WORD_CHUNK)))
+        t_last = t
         # without a rejection no node takes more than two words
         seg = (words[:2 * (n - t)] >> np.uint64(11)) * 2.0 ** -53
         t_end = t + len(seg)

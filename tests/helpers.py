@@ -65,6 +65,32 @@ class PCG64Replay:
             self.rejections += 1
 
 
+class FixedWords(PCG64Replay):
+    """A stand-in for default_rng(seed) that reads a given array of raw
+    words: random() and integers(high) as in PCG64Replay, and
+    bit_generator.random_raw(size), which counts its calls in raw_calls.
+    Under a default_rng that returns its argument, pa_tree_picks and
+    _pa_loop read it as they read a seed's words."""
+
+    def __init__(self, words: np.ndarray):
+        self._words, self._at = words, 0
+        self._kept = None
+        self.rejections = self.words = self.raw_calls = 0
+        self.bit_generator = self
+
+    def _raw(self) -> int:
+        self._at += 1
+        return int(self._words[self._at - 1])
+
+    def random_raw(self, size: int | None = None) -> np.ndarray | int:
+        if size is None:  # as PCG64Replay reads it
+            return self._raw()
+        assert self._at + size <= len(self._words), "stream exhausted"
+        self.raw_calls += 1
+        self._at += size
+        return self._words[self._at - size:self._at]
+
+
 def pcg64_with_word(index: int, word: int) -> np.random.PCG64:
     """A PCG64 bit generator whose raw word number `index` (from 0) is `word`.
 

@@ -319,6 +319,10 @@ class TestDetection:
         assert not dec.fired
         assert dec.fired_at_samples == 50 and dec.raw_steps == 50
 
+    def test_fixed_m_zero_rejected(self, star4):
+        with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+            detect_fixed_m_decision(star4, WalkConfig(alpha=1.0, seed=0), 2, 0)
+
     def test_degenerate_threshold_fires_immediately(self, star4):
         cfg = WalkConfig(alpha=1.0, seed=0, max_steps=100)
         dec = detect_with_rule(star4, cfg, 2, "r2", 0.0)
@@ -360,14 +364,11 @@ class TestDetection:
         ("r0", 0.0, "a_bar"), ("r0", 2.0, "a_bar"), ("r1", float("nan"), "a_bar"),
         ("r2", float("nan"), "b_bar"), ("r2", float("inf"), "b_bar"),
         ("r2", -float("inf"), "b_bar"), ("r2", 2.000001, "b_bar"),
-        ("r2", 1e300, "b_bar"), ("fixed", 0, "m must be >= 1, got 0")])
+        ("r2", 1e300, "b_bar")])
     def test_bad_threshold_rejected(self, star4, rule, threshold, name):
         cfg = WalkConfig(alpha=1.0, seed=0, max_steps=10)
         with pytest.raises(ValueError, match=name):
-            if rule == "fixed":
-                detect_fixed_m_decision(star4, cfg, 2, threshold)
-            else:
-                detect_with_rule(star4, cfg, 2, rule, threshold)
+            detect_with_rule(star4, cfg, 2, rule, threshold)
 
     @pytest.mark.parametrize("transient, max_steps", [(10, 10), (2**63, 1_000_000)])
     @pytest.mark.parametrize("rule, threshold", [

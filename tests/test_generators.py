@@ -9,7 +9,7 @@ import degreewalk as dw
 from degreewalk import generators
 from degreewalk.generators import _pa_loop, pair_stubs, sample_degrees
 
-from helpers import (PCG64Replay, check_graph_invariants, is_connected,
+from helpers import (FixedWords, PCG64Replay, check_graph_invariants, is_connected,
                      pa_tree_picks, pcg64_with_word)
 
 PA_TAIL = dw.ParetoTail(gamma=2.5, c=3.7, x_prime=3.7 ** 0.4)
@@ -165,6 +165,26 @@ class TestPATreeReplay:
                                   seed=pcg64_with_word(t - 2, ulps << 11))
                       for _ in range(2))
         assert_same_as_loop(fast, loop)
+
+    def test_rejections_keep_the_word_buffer_bounded(self, monkeypatch):
+        """A zero low half is a rejected draw for every t but a power of two,
+        so zeroing it in one word of 7 makes most 64-word passes stop at a
+        rejection, and 200 zero words from one pick's fresh word make passes
+        that write no node. A pass draws a chunk only when less than a chunk
+        is left or the last pass wrote no node, so the replay ends and draws
+        at most a few chunks more than the loop reads."""
+        words = np.random.PCG64(5).random_raw(2 ** 17)
+        words[::7] &= np.uint64(0xFFFFFFFF << 32)
+        monkeypatch.setattr(generators, "_WORD_CHUNK", 64)
+        monkeypatch.setattr(np.random, "default_rng", lambda stream: stream)
+        picks = pa_tree_picks(2000, 20.0, FixedWords(words))
+        fresh = next(f for _, f, _ in picks[1000:] if f)
+        words[fresh[0]:fresh[0] + 200] = 0
+        fast, loop = FixedWords(words), FixedWords(words)
+        assert_same_as_loop(*(dw.PAConfig(n=20_000, attractiveness=20.0, seed=s)
+                              for s in (fast, loop)))
+        assert loop.rejections > 1700  # about 1400 scattered, 400 in the block
+        assert fast.raw_calls <= loop.words // 64 + 3
 
     def test_word_replay_matches_numpy(self):
         # bounds just over 2**31 reject about half their first draws
