@@ -221,6 +221,7 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
     degrees = g.degrees
     samples = 0
     for nodes, kept, base in _visits(g, cfg):
+        nodes = np.asarray(nodes)
         # at[i]: samples up to and including step i of the block
         at = samples + np.cumsum(kept)
         end = len(nodes)
@@ -228,17 +229,16 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
             end = int(np.searchsorted(at, stop_sample)) + 1
         degs = degrees[nodes[:end]]
         floor = -lst._worst_key[0] if lst.is_full else 0
-        deg_of = degs.tolist()
-        kept_at = kept.tolist()
-        for j in np.flatnonzero(degs >= floor).tolist():
-            node = nodes[j]
-            if kept_at[j]:
-                lst.update(node, deg_of[j])
+        sel = np.flatnonzero(degs >= floor)
+        for j, node, deg, keep in zip(sel.tolist(), nodes[sel].tolist(),
+                                      degs[sel].tolist(), kept[sel].tolist()):
+            if keep:
+                lst.update(node, deg)
                 if stop_rule is not None and node in lst and stop_rule(lst):
                     return StopDecision(rule, threshold, True, int(at[j]),
                                         base + j + 1, lst)
             else:
-                lst.observe(node, deg_of[j])
+                lst.observe(node, deg)
         samples = int(at[end - 1])
         if samples == stop_sample:
             return StopDecision(rule, threshold, True, samples, base + end, lst)

@@ -11,6 +11,7 @@ import io
 import math
 import re
 import warnings
+import zipfile
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
@@ -200,9 +201,16 @@ class Graph:
     @classmethod
     def load_npz(cls, path) -> "Graph":
         """Read a cache written by save_npz (or np.savez_compressed).
-        ValueError names the path and the member that is missing or that
-        the constructor rejects."""
-        with np.load(path) as data:
+        ValueError names the path and the fault: a file that is not a
+        readable npz archive (edge-list text, a truncated zip), or the
+        member that is missing or that the constructor rejects."""
+        try:
+            data = np.load(path)
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            data = None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"graph cache {path}: not a readable npz archive")
+        with data:
             missing = [m for m in _CACHE_MEMBERS if m not in data.files]
             if missing:
                 raise ValueError(f"graph cache {path}: {missing[0]}: missing")

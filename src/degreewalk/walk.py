@@ -6,11 +6,23 @@ moves to a uniform neighbor of i. This two-stage draw realizes exactly the
 kernel p_ij = (alpha/n + [i~j]) / (d_i + alpha) without materializing any
 matrix rows.
 
-The kernel, _walk, only moves, in blocks of up to _BLOCK steps that each
-take one draw of move uniforms; a walk on its own generator visits the
-same nodes at any block size. _visits alone applies the sampling mode, as
-a keep mask per block. The detector filters a block with numpy, and
-sample_stream flattens it.
+The scalar kernel, _walk, only moves, in blocks of up to _BLOCK steps that
+each take one draw of move uniforms; a walk on its own generator visits
+the same nodes at any block size. walk_until_hit uses it alone. A sample
+stream (_visits) walks its first _SCALAR steps with _walk, then draws
+superblocks of move uniforms and hands each to the segment kernel,
+_segments: it cuts the superblock into segments of _SEG steps, starts each
+one _WARM steps early from a guessed node, and steps all of them together
+in numpy with _walk's float arithmetic. Two walks that read the same
+uniforms meet once both jump at one step from nodes of one degree (a
+coupling under common random numbers), so a segment whose guessed walk
+stands on the exact node at its first step is exact from there on; a
+segment that does not is walked again by _walk from the exact node. A
+superblock in which too many segments fail sends the rest of the walk back
+to _walk. _visits alone applies the sampling mode, as a keep mask per
+block. A block's nodes are _walk's list of ints or _segments' int64 array,
+so a stream that stops within its first _SCALAR steps converts none of
+them; the detector makes each an array and filters it with numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +35,11 @@ import numpy as np
 from .graph import Graph
 
 _BLOCK = 512  # steps per block handed out by _walk, one draw each
+_SCALAR = 4096  # steps a sample stream walks with _walk before the segments
+_SEG = 64  # steps per segment of a superblock
+_WARM = 32  # steps a segment walks from its guessed node before it is checked
+_SUPER = 16384  # steps per superblock
+_MAX_FAILED = 0.5  # share of a superblock's segments that may fail
 
 
 class WalkStuckError(RuntimeError):
@@ -70,8 +87,9 @@ class Sample(NamedTuple):
     step_index: int  # raw walk step at which the node was visited
 
 
-# (nodes, mask of the visits cfg.mode keeps, raw steps before the block)
-Block = tuple[list[int], np.ndarray, int]
+# (nodes, mask of the visits cfg.mode keeps, raw steps before the block);
+# the nodes are a list of ints from _walk or an int64 array from _segments
+Block = tuple[Union[list, np.ndarray], np.ndarray, int]
 
 
 def _walk(g: Graph, alpha: float, rng: np.random.Generator, start: int,
@@ -90,6 +108,7 @@ def _walk(g: Graph, alpha: float, rng: np.random.Generator, start: int,
     follows edges and so can stand on a zero-degree node only at the start;
     WalkStuckError is raised there, before the first draw.
     As r < pj, a jump r/pj * n stays below n < 2**53; j can round up to d.
+    _segments takes the same steps, many walks at a time, in numpy.
     """
     cur = start
     steps = 0
@@ -143,9 +162,103 @@ def walk_until_hit(g: Graph, cfg: WalkConfig, start: int | None,
     return None
 
 
+class _Drawn:
+    """Stands in for a Generator: random(count) hands out u in order."""
+
+    def __init__(self, u: np.ndarray):
+        self.u, self.at = u, 0
+
+    def random(self, count: int) -> np.ndarray:
+        self.at += count
+        return self.u[self.at - count:self.at]
+
+
+def _step(cur: np.ndarray, r: np.ndarray, offsets: np.ndarray,
+          neighbors: np.ndarray, alpha: float, n: int) -> np.ndarray:
+    """One step of every walk in cur with uniforms r: the arithmetic of
+    _walk's loop, which it must match bit for bit. Both branches are
+    evaluated for every walk; the caller silences the nan and inf of the
+    branch a walk does not take, and take(mode="clip") keeps its index in
+    range."""
+    lo = offsets[cur]
+    d = offsets[cur + 1] - lo
+    pj = alpha / (d + alpha)
+    j = ((r - pj) / (1.0 - pj) * d).astype(np.int64)
+    nbr = neighbors.take(lo + np.minimum(j, d - 1), mode="clip")
+    return np.where(r < pj, (r / pj * n).astype(np.int64), nbr)
+
+
+def _segments(g: Graph, alpha: float, start: int,
+              u: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The nodes that _walk visits from `start` on the move uniforms u, as
+    an int64 array, and whether the walk should go back to _walk.
+
+    Segment i covers the steps i*_SEG, ..., (i+1)*_SEG - 1 of u. Segment 0
+    starts at `start`; segment i > 0 starts _WARM steps early at `start`
+    as a guess, and all segments step together through _step. Segment i is
+    accepted when its guessed walk stands, before its first step, on the
+    node where segment i-1 ends; that node is exact, so the whole segment
+    is. A failed segment is walked again by _walk from that node. Once more
+    than _MAX_FAILED of the segments failed, _walk walks the rest of u and
+    the second value is True. Each array has one entry per segment or per
+    step, none of size n. The tail of the last segment, past len(u), reads
+    padded uniforms of 0.5 and is dropped.
+    """
+    alpha, count = float(alpha), -(-len(u) // _SEG)
+    padded = np.full(count * _SEG, 0.5)
+    padded[:len(u)] = u
+    cols = padded.reshape(count, _SEG).T.copy()  # cols[t, i]: step t of segment i
+    nodes = np.empty((count, _SEG), dtype=np.int64)
+    cur = np.full(count, start, dtype=np.int64)
+    neighbors = g.neighbors if len(g.neighbors) else np.zeros(1, np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(_SEG - _WARM, _SEG):
+            cur[1:] = _step(cur[1:], cols[t, :-1], g.offsets, neighbors, alpha, g.n)
+        guess = cur.tolist()
+        for t in range(_SEG):
+            cur = _step(cur, cols[t], g.offsets, neighbors, alpha, g.n)
+            nodes[:, t] = cur
+    flat, ends = nodes.reshape(-1), nodes[:, -1].tolist()
+    failed = 0
+    for i in range(1, count):
+        if guess[i] == ends[i - 1]:
+            continue
+        failed += 1
+        rest = failed > _MAX_FAILED * count
+        steps = _walk(g, alpha, _Drawn(padded[i * _SEG:]), ends[i - 1],
+                      (count - i if rest else 1) * _SEG)
+        walked = [v for block, _ in steps for v in block]
+        flat[i * _SEG:i * _SEG + len(walked)] = walked
+        if rest:
+            return flat[:len(u)], True
+        ends[i] = walked[-1]
+    return flat[:len(u)], False
+
+
+def _moves(g: Graph, alpha: float, rng: np.random.Generator, start: int,
+           max_steps: int) -> Iterator[tuple[Union[list, np.ndarray], int]]:
+    """The walk as blocks (nodes, base), as _walk gives it: _walk's lists
+    for the first _SCALAR steps, then int64 arrays of superblocks through
+    _segments, back to _walk's lists for good after a superblock with too
+    many failed segments. Both draw the same uniforms from rng, as float64
+    random() output does not depend on how it is chunked."""
+    for nodes, base in _walk(g, alpha, rng, start, min(max_steps, _SCALAR)):
+        yield nodes, base
+    steps, cur = base + len(nodes), nodes[-1]
+    while steps < max_steps:
+        nodes, slow = _segments(g, alpha, cur, rng.random(min(_SUPER, max_steps - steps)))
+        yield nodes, steps
+        steps += len(nodes)
+        cur = int(nodes[-1])
+        if slow:
+            for block, base in _walk(g, alpha, rng, cur, max_steps - steps):
+                yield block, steps + base
+            return
+
+
 def _visits(g: Graph, cfg: WalkConfig,
             start: int | None = None) -> Iterator[Block]:
-    """The _walk blocks of cfg, each with the mask of the visits cfg.mode
+    """The _moves blocks of cfg, each with the mask of the visits cfg.mode
     keeps. Start, move and keep generators are spawned from cfg.seed, and
     start=None draws the initial node uniformly. Thinned draws one keep
     uniform per step past the transient, so Thinned(transient=0, q=1) keeps
@@ -157,8 +270,8 @@ def _visits(g: Graph, cfg: WalkConfig,
         raise IndexError(f"start node {start} out of range [0, {g.n})")
     mode = cfg.mode
     keep_rng = np.random.default_rng(keep_ss)
-    for nodes, base in _walk(g, cfg.alpha, np.random.default_rng(move_ss),
-                             start, cfg.max_steps):
+    for nodes, base in _moves(g, cfg.alpha, np.random.default_rng(move_ss),
+                              start, cfg.max_steps):
         kept = np.ones(len(nodes), dtype=bool)
         if isinstance(mode, Thinned):
             skip = min(len(nodes), max(0, mode.transient - base))
@@ -175,5 +288,7 @@ def sample_stream(g: Graph, cfg: WalkConfig, start: int | None = None) -> Iterat
     cfg.max_steps raw steps are walked either way.
     """
     for nodes, kept, base in _visits(g, cfg, start):
+        if isinstance(nodes, np.ndarray):
+            nodes = nodes.tolist()
         for i in np.flatnonzero(kept).tolist():
             yield Sample(nodes[i], base + i + 1)

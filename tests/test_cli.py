@@ -236,6 +236,28 @@ class TestDetect:
         captured = capsys.readouterr()
         assert f"g.npz: {bad}:" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("content", [b"0 1\n1 2\n", b"PK\x03\x04" + b"junk" * 8,
+                                         b"", np.arange(3)],
+                             ids=["edge_text", "truncated_zip", "empty", "npy_array"])
+    def test_detect_rejects_a_file_that_is_no_cache(self, content, tmp_path, capsys):
+        """Edge-list text, a truncated zip, an empty file or a bare .npy
+        array behind a .npz name: exit code 2 and a message that names the
+        cache and the fault, not a traceback or numpy's pickle advice."""
+        path = tmp_path / "g.npz"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            with open(path, "wb") as fh:
+                np.save(fh, content)
+        rc = main(["detect", str(path), "--k", "1", "--rule", "fixed",
+                   "--m", "5", "--alpha", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"graph cache {path}: not a readable npz archive" in captured.err
+        assert "pickle" not in captured.err and "Traceback" not in captured.err
+        with pytest.raises(ValueError, match=r"^graph cache .*g\.npz: not a readable npz archive$"):
+            dw.Graph.load_npz(path)
+
 
 class TestGenerateAndIngest:
     def test_generate_pa_deterministic(self, tmp_path):

@@ -81,6 +81,10 @@ GOLDEN = {
         "402100e86f2479c83d7d77ba71e4790c9dd0ab5c193495e8147ff9a1fcaefe3f",
     "isolated_fixed_thinned":
         "7c28f150011408a6d6221ba1abb013aee34fbbed3c2282b5c327a33bb8383919",
+    "bench_corpus_query_mix_100k":
+        "e65a7e5cb157fec8ac6fe6c847211b3e759cb1920abbe9e2627be89ef32be20d",
+    "bench_corpus_ingest_detect_1m":
+        "04746341e0ee6e9dfe8a27dd9430541517d74206de7cbec050f6020dedf922e8",
 }
 
 PA_ARGS = ["generate", "pa", "--n", "2000", "--seed", "7"]
@@ -265,3 +269,51 @@ class TestGoldenExperimentsAndIsolated:
         code, out = run_detect(capsys, cache, ["--k", "3"] + ISOLATED_ARGS[name])
         assert code == 0 and "fired=True" in out
         assert sha(out) == GOLDEN[f"isolated_{name}"]
+
+
+# The detect corpora of the two benchmark workloads, with the seeds the
+# bench derives for them: query_mix_100k runs 60 queries on the 1e5-node
+# bench graph, cycling through 8 r2_k10, 4 fixed_k10, 5 r1_k10 and 3 r0_k50,
+# and ingest_detect_1m runs 4 r2_k10 queries on the 1e6-node ingest tree.
+# Every query but fixed_k10 thins with transient 100 and q = 0.5; alpha = 2.
+BENCH_THINNED = dw.Thinned(transient=100, q=0.5)
+BENCH_QUERIES = {
+    "r2_k10": (10, "r2", 7.0, BENCH_THINNED),
+    "fixed_k10": (10, "fixed", 12000, dw.EveryStep()),
+    "r1_k10": (10, "r1", 0.3, BENCH_THINNED),
+    "r0_k50": (50, "r0", 0.3, BENCH_THINNED),
+}
+QUERY_MIX_BLOCK = ["r2_k10"] * 8 + ["fixed_k10"] * 4 + ["r1_k10"] * 5 + ["r0_k50"] * 3
+
+
+def bench_decisions(g: dw.Graph, tag: int, kinds: list[str]) -> list[tuple]:
+    """(fired, fired_at_samples, raw_steps, entries()) of corpus entry j,
+    run as the bench runs it, for each kinds[j]."""
+    rows = []
+    for j, kind in enumerate(kinds):
+        k, rule, threshold, mode = BENCH_QUERIES[kind]
+        seed = int(np.random.SeedSequence([tag, 0, j]).generate_state(1)[0])
+        cfg = dw.WalkConfig(alpha=2.0, seed=seed, mode=mode)
+        dec = (dw.detect_fixed_m_decision(g, cfg, k, threshold) if rule == "fixed"
+               else dw.detect_with_rule(g, cfg, k, rule, threshold))
+        rows.append((dec.fired, dec.fired_at_samples, dec.raw_steps,
+                     dec.final_list.entries()))
+    return rows
+
+
+class TestGoldenBenchCorpus:
+    """The outputs the bench checks and averages, query for query: the
+    walk's segment kernel must leave every one of them as it was."""
+
+    def test_query_mix_100k(self, pa_graph):
+        rows = bench_decisions(pa_graph, 2, [QUERY_MIX_BLOCK[j % 20] for j in range(60)])
+        assert all(fired for fired, *_ in rows)
+        assert np.mean([raw for _, _, raw, _ in rows]) == 50533.25
+        assert sha(repr(rows)) == GOLDEN["bench_corpus_query_mix_100k"]
+
+    def test_ingest_detect_1m(self):
+        ingest = dw.generate_pa(dw.PAConfig(
+            n=1_000_000, edges_per_node=1, attractiveness=0.5, seed=7))
+        rows = bench_decisions(ingest, 1, ["r2_k10"] * 4)
+        assert np.mean([raw for _, _, raw, _ in rows]) == 60579
+        assert sha(repr(rows)) == GOLDEN["bench_corpus_ingest_detect_1m"]

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import degreewalk as dw
 from degreewalk.analytics import transition_matrix
-from degreewalk.walk import (EveryStep, Thinned, WalkConfig, WalkStuckError, _walk,
-                             sample_stream, walk_until_hit)
+from degreewalk import walk as walk_mod
+from degreewalk.walk import (EveryStep, Thinned, WalkConfig, WalkStuckError, _Drawn,
+                             _moves, _segments, _walk, sample_stream, walk_until_hit)
 
 from helpers import (random_connected_graph, reference_hit, reference_stream,
                      shared_rng_hitting_times, walk_reference)
@@ -307,3 +308,129 @@ class TestConfigValidation:
         cfg = WalkConfig(alpha=1.0, max_steps=np.int64(5),
                          mode=Thinned(transient=np.int32(2)))
         assert cfg.max_steps == 5 and cfg.mode.transient == 2
+
+
+def scalar_nodes(g, alpha, start, u) -> list[int]:
+    """The nodes _walk visits from start on the move uniforms u."""
+    return [v for nodes, _ in _walk(g, alpha, _Drawn(u), start, len(u)) for v in nodes]
+
+
+@pytest.fixture
+def fixups(monkeypatch):
+    """Counts the _walk calls of _segments: walks of one segment, and walks
+    of the rest of a superblock after too many failed segments."""
+    calls = {"segment": 0, "rest": 0}
+
+    def counting(g, alpha, rng, start, max_steps, stop=-1):
+        if isinstance(rng, _Drawn):
+            calls["segment" if max_steps == walk_mod._SEG else "rest"] += 1
+        return _walk(g, alpha, rng, start, max_steps, stop)
+
+    monkeypatch.setattr(walk_mod, "_walk", counting)
+    return calls
+
+
+def cycle(n):
+    return dw.Graph.from_edges(np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1), n=n)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSegmentKernel:
+    """_segments, and the sample streams built on it, visit the nodes of
+    _walk and of the table-driven kernel, node for node."""
+
+    @pytest.fixture(scope="class")
+    def pa2000(self):
+        return dw.generate_pa(dw.PAConfig(n=2000, edges_per_node=1, seed=3))
+
+    @pytest.mark.parametrize("alpha, rest", [(0.0, 1), (0.05, 1), (2.0, 0)])
+    def test_pa_graph(self, pa2000, fixups, alpha, rest):
+        """At alpha = 0 and 0.05 most segments fail, so the superblock ends
+        in one walk of its rest; at alpha = 2 nearly all are accepted."""
+        u = np.random.default_rng(1).random(16384)
+        got = _segments(pa2000, alpha, 7, u)
+        assert got[0].tolist() == scalar_nodes(pa2000, alpha, 7, u)
+        assert got[1] == bool(rest) and fixups["rest"] == rest
+        if rest:  # the failure after the last one allowed walks the rest
+            assert fixups["segment"] == int(walk_mod._MAX_FAILED * 256)
+        else:
+            assert fixups["segment"] < 256 // 8
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 2.0])
+    def test_moves_on_pa_graph(self, pa2000, alpha):
+        """_walk's lists in the scalar phase and after a fallback, int64
+        arrays from _segments."""
+        rng = np.random.default_rng(4)
+        blocks = [nodes for nodes, _ in _moves(pa2000, alpha, rng, 0, 40_000)]
+        assert isinstance(blocks[0], list) and isinstance(blocks[-1], list) == (alpha < 0.5)
+        assert all(isinstance(b, list) or b.dtype == np.int64 for b in blocks)
+        want = [v for v, _, _ in walk_reference(pa2000, alpha, np.random.default_rng(4),
+                                                None, 0, 40_000)]
+        assert np.concatenate(blocks).tolist() == want
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 2.0])
+    def test_cycle(self, alpha):
+        g = cycle(1000)
+        u = np.random.default_rng(2).random(8192)
+        assert _segments(g, alpha, 0, u)[0].tolist() == scalar_nodes(g, alpha, 0, u)
+
+    def test_isolated_nodes_jump(self):
+        """pj = alpha/(0 + alpha) = 1 on an isolated node: every uniform
+        jumps from it, and the move branch divides by 1 - pj = 0."""
+        g = dw.Graph.from_edges(np.array([[0, 1], [1, 2]]), n=50)
+        u = np.random.default_rng(3).random(5000)
+        assert _segments(g, 0.7, 30, u)[0].tolist() == scalar_nodes(g, 0.7, 30, u)
+        edgeless = dw.Graph.from_edges(np.empty((0, 2), dtype=np.int64), n=9)
+        assert _segments(edgeless, 1.0, 4, u)[0].tolist() == scalar_nodes(edgeless, 1.0, 4, u)
+
+    def test_stuck_start_raises_before_any_draw(self):
+        g = dw.Graph.from_edges(np.array([[0, 1]]), n=3)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(WalkStuckError, match="zero degree, zero jump rate"):
+            next(_moves(g, 0.0, rng, 2, 10 ** 6))
+        assert rng.bit_generator.state == state
+
+    def test_largest_uniform(self, pa2000):
+        """Every uniform is nextafter(1, 0): a move index that rounds up to
+        d is clamped, and a jump from an isolated node stays below n."""
+        u = np.full(3000, np.nextafter(1.0, 0.0))
+        path = dw.Graph.from_edges(np.array([[0, 1], [1, 2]]), n=3)
+        assert _segments(path, 1.5, 1, u)[0].tolist() == scalar_nodes(path, 1.5, 1, u)
+        for g, alpha in ((pa2000, 2.0), (pa2000, 0.0), (cycle(10), 0.3),
+                         (dw.Graph.from_edges(np.empty((0, 2), dtype=np.int64), n=10 ** 6), 1.0)):
+            assert _segments(g, alpha, 1, u)[0].tolist() == scalar_nodes(g, alpha, 1, u)
+
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 1000, 8191])
+    def test_superblock_not_a_multiple_of_segments(self, pa2000, length):
+        u = np.random.default_rng(length).random(length)
+        got = _segments(pa2000, 2.0, 11, u)[0]
+        assert got.shape == (length,) and got.tolist() == scalar_nodes(pa2000, 2.0, 11, u)
+
+    def test_failed_segments_walked_again(self, pa2000, fixups, monkeypatch):
+        """With one warm-up step few guesses reach the exact node, so many
+        segments are walked again, one at a time, and the nodes stay exact."""
+        monkeypatch.setattr(walk_mod, "_WARM", 1)
+        monkeypatch.setattr(walk_mod, "_MAX_FAILED", 1.0)
+        u = np.random.default_rng(6).random(16384)
+        nodes, slow = _segments(pa2000, 2.0, 0, u)
+        assert nodes.tolist() == scalar_nodes(pa2000, 2.0, 0, u) and not slow
+        assert fixups["segment"] > 50 and fixups["rest"] == 0
+
+    @pytest.mark.parametrize("max_steps", [walk_mod._SCALAR - 1, walk_mod._SCALAR,
+                                           walk_mod._SCALAR + 1, 30_000])
+    @pytest.mark.parametrize("mode", [EveryStep(), Thinned(transient=100, q=0.5),
+                                      Thinned(transient=walk_mod._SCALAR + 3000, q=0.3)])
+    def test_stream_around_the_scalar_phase(self, pa2000, max_steps, mode):
+        """max_steps below, at and above the steps walked by _walk alone,
+        and a transient that ends inside the first superblock."""
+        cfg = WalkConfig(alpha=2.0, seed=9, max_steps=max_steps, mode=mode)
+        assert [tuple(s) for s in sample_stream(pa2000, cfg)] == reference_stream(pa2000, cfg)
+
+    def test_samples_hold_python_ints(self, pa2000):
+        cfg = WalkConfig(alpha=2.0, seed=1, max_steps=20_000)
+        samples = list(sample_stream(pa2000, cfg))
+        assert len(samples) == 20_000
+        assert all(type(s.node) is int and type(s.step_index) is int for s in samples)
+        dec = dw.detect_fixed_m_decision(pa2000, cfg, 10, 15_000)
+        assert all(type(x) is int for row in dec.final_list.entries() for x in row)
