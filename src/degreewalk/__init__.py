@@ -1,6 +1,8 @@
 """degreewalk: quick detection of the largest-degree nodes in undirected
 graphs with a jumping random walk, plus the analytics to reason about it."""
 
+__version__ = "0.1.0"  # pyproject.toml reads the package version from here
+
 from .analytics import (EvtPrediction, StationaryDist, UnreachableTargetError,
                         evt_predict, expected_correct_count,
                         expected_return_time_max, hitting_time_asymptotic,

@@ -9,7 +9,6 @@ the Poisson machinery behind the stopping rules.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,20 +93,6 @@ def transition_matrix(g: Graph, alpha: float) -> np.ndarray:
     return P
 
 
-def _reaches_target(g: Graph, target: int) -> bool:
-    """True when every node can reach `target` along edges (alpha = 0 case)."""
-    seen = np.zeros(g.n, dtype=bool)
-    seen[target] = True
-    queue = deque([target])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors_of(u):
-            if not seen[v]:
-                seen[v] = True
-                queue.append(int(v))
-    return bool(seen.all())
-
-
 def hitting_time_exact(g: Graph, alpha: float, target: int,
                        nu: int | np.ndarray | None = None) -> float:
     """Exact expected hitting time to `target` by conjugate gradients, any n.
@@ -124,14 +109,19 @@ def hitting_time_exact(g: Graph, alpha: float, target: int,
     _check_alpha(alpha)
     if not 0 <= target < g.n:
         raise IndexError(f"target {target} out of range [0, {g.n})")
-    if alpha == 0.0 and (g.degrees.min() == 0 or not _reaches_target(g, target)):
-        raise UnreachableTargetError(
-            "unreachable target: alpha=0 and the graph does not connect "
-            "every node to the target")
+    src = np.repeat(np.arange(g.n), g.degrees)
+    if alpha == 0.0:  # seen: the nodes that reach the target along edges
+        seen, size = np.arange(g.n) == target, 0
+        while size < seen.sum() < g.n:  # one hop further per pass
+            size = seen.sum()
+            seen |= np.bincount(src, seen[g.neighbors], g.n) > 0
+        if g.degrees.min() == 0 or not seen.all():
+            raise UnreachableTargetError(
+                "unreachable target: alpha=0 and the graph does not connect "
+                "every node to the target")
     # solve in units of 2**e > max(w): exact, so h is unchanged, and no huge alpha overflows
     e = math.frexp(int(g.degrees.max()) + alpha)[1]
     w, jump = np.ldexp(g.degrees + alpha, -e), np.ldexp(alpha, -e) / g.n
-    src = np.repeat(np.arange(g.n), g.degrees)
 
     def kernel(x):  # x[target] is 0 on every call, so only its row is zeroed
         y = w * x - np.ldexp(np.bincount(src, x[g.neighbors], g.n), -e) - jump * x.sum()

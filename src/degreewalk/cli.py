@@ -10,16 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib.metadata import PackageNotFoundError, version as _pkg_version
 
-from . import analytics, detector, experiments, generators
+from . import __version__, analytics, detector, experiments, generators
 from .graph import Graph, exact_top_k, load_edge_list
 from .walk import EveryStep, Thinned, WalkConfig
-
-try:
-    __version__ = _pkg_version("degreewalk")
-except PackageNotFoundError:  # running from a source tree
-    __version__ = "0.1.0"
 
 
 class UsageError(Exception):

@@ -23,6 +23,7 @@ reach the list.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,39 +44,35 @@ class CandidateList:
     improves, so a node that was rejected or evicted never re-enters.
     """
 
-    __slots__ = ("k", "_deg", "_hits", "_worst_key")
+    __slots__ = ("k", "_keys", "_hits")
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
-        self._deg: dict[int, int] = {}
-        self._hits: dict[int, int] = {}  # same keys, in the same order
-        self._worst_key: tuple[int, int] | None = None
+        self._keys: list[tuple[int, int]] = []  # members' (-degree, node), best first
+        self._hits: dict[int, int] = {}  # members' counters, in order of entry
 
     def __len__(self) -> int:
-        return len(self._deg)
+        return len(self._hits)
 
     def __contains__(self, node: int) -> bool:
-        return node in self._deg
+        return node in self._hits
 
     @property
     def is_full(self) -> bool:
-        return len(self._deg) >= self.k
+        return len(self._hits) >= self.k
 
     def observe(self, node: int, degree: int) -> None:
         """Membership-only update for a visit that was not sampled."""
-        if node in self._deg:
+        if node in self._hits:
             return
-        if len(self._deg) >= self.k:
-            if not (-degree, node) < self._worst_key:
+        if len(self._hits) >= self.k:
+            if not (-degree, node) < self._keys[-1]:
                 return
-            worst = self._worst_key[1]
-            del self._deg[worst]
-            del self._hits[worst]
-        self._deg[node] = degree
+            del self._hits[self._keys.pop()[1]]
+        insort(self._keys, (-degree, node))
         self._hits[node] = 0
-        self._worst_key = max((-d, v) for v, d in self._deg.items())
 
     def update(self, node: int, degree: int) -> "CandidateList":
         """Record one sample: observe the node, then bump its hit counter
@@ -90,11 +87,10 @@ class CandidateList:
 
     def entries(self) -> list[tuple[int, int, int]]:
         """(node, degree, hits) rows ordered best to worst."""
-        ordered = sorted(self._deg.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [(v, d, self._hits[v]) for v, d in ordered]
+        return [(v, -d, self._hits[v]) for d, v in self._keys]
 
     def members(self) -> set[int]:
-        return set(self._deg)
+        return set(self._hits)
 
     def member_hits(self) -> list[int]:
         return list(self._hits.values())
@@ -228,7 +224,7 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
         if stop_sample is not None and at[-1] >= stop_sample:
             end = int(np.searchsorted(at, stop_sample)) + 1
         degs = degrees[nodes[:end]]
-        floor = -lst._worst_key[0] if lst.is_full else 0
+        floor = -lst._keys[-1][0] if lst.is_full else 0
         sel = np.flatnonzero(degs >= floor)
         for j, node, deg, keep in zip(sel.tolist(), nodes[sel].tolist(),
                                       degs[sel].tolist(), kept[sel].tolist()):

@@ -202,21 +202,23 @@ class Graph:
     def load_npz(cls, path) -> "Graph":
         """Read a cache written by save_npz (or np.savez_compressed).
         ValueError names the path and the fault: a file that is not a
-        readable npz archive (edge-list text, a truncated zip), or the
-        member that is missing or that the constructor rejects."""
+        readable npz archive (edge-list text, a truncated zip, a member that
+        fails its CRC or holds objects), or the member that is missing or
+        that the constructor rejects."""
         try:
             data = np.load(path)
+            if isinstance(data, np.lib.npyio.NpzFile):
+                with data:
+                    arrays = {m: data[m] for m in _CACHE_MEMBERS if m in data.files}
         except (ValueError, EOFError, zipfile.BadZipFile):
             data = None
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ValueError(f"graph cache {path}: not a readable npz archive")
-        with data:
-            missing = [m for m in _CACHE_MEMBERS if m not in data.files]
-            if missing:
-                raise ValueError(f"graph cache {path}: {missing[0]}: missing")
-            arrays = [data[m] for m in _CACHE_MEMBERS]
+        missing = [m for m in _CACHE_MEMBERS if m not in arrays]
+        if missing:
+            raise ValueError(f"graph cache {path}: {missing[0]}: missing")
         try:
-            return cls(*arrays)
+            return cls(*(arrays[m] for m in _CACHE_MEMBERS))
         except ValueError as exc:
             raise ValueError(f"graph cache {path}: {exc}") from None
 

@@ -6,35 +6,38 @@ moves to a uniform neighbor of i. This two-stage draw realizes exactly the
 kernel p_ij = (alpha/n + [i~j]) / (d_i + alpha) without materializing any
 matrix rows.
 
-The scalar kernel, _walk, only moves, in blocks of up to _BLOCK steps that
-each take one draw of move uniforms; a walk on its own generator visits
-the same nodes at any block size. walk_until_hit uses it alone. A sample
-stream (_visits) walks its first _SCALAR steps with _walk, then draws
-superblocks of move uniforms and hands each to the segment kernel,
-_segments: it cuts the superblock into segments of _SEG steps, starts each
-one _WARM steps early from a guessed node, and steps all of them together
-in numpy with _walk's float arithmetic. Two walks that read the same
-uniforms meet once both jump at one step from nodes of one degree (a
-coupling under common random numbers), so a segment whose guessed walk
-stands on the exact node at its first step is exact from there on; a
-segment that does not is walked again by _walk from the exact node. A
-superblock in which too many segments fail sends the rest of the walk back
-to _walk. _visits alone applies the sampling mode, as a keep mask per
-block. A block's nodes are _walk's list of ints or _segments' int64 array,
-so a stream that stops within its first _SCALAR steps converts none of
-them; the detector makes each an array and filters it with numpy.
+Neither kernel draws its own uniforms. The scalar kernel, _walk, only
+moves, one block per array of move uniforms it is handed; _draws is the
+one place that draws them for it, as blocks of up to _BLOCK, each only
+when _walk asks, and a walk visits the same nodes at any block size.
+walk_until_hit uses _walk alone. A sample stream (_moves) walks its first
+_SCALAR steps with _walk, then draws superblocks of move uniforms and
+hands each to the segment kernel, _segments: it cuts the superblock into
+segments of _SEG steps, starts each one _WARM steps early from a guessed
+node, and steps all of them together in numpy with _walk's float
+arithmetic. Two walks that read the same uniforms meet once both jump at
+one step from nodes of one degree (a coupling under common random
+numbers), so a segment whose guessed walk stands on the exact node at its
+first step is exact from there on; a segment that does not is walked
+again by _walk, on its own uniforms, from the exact node. _segments
+reports a superblock in which too many segments failed, and _moves alone
+then hands the rest of the walk to _walk. _visits alone applies the
+sampling mode, as a keep mask per block. A block's nodes are _walk's list
+of ints or _segments' int64 array, so a stream that stops within its
+first _SCALAR steps converts none of them; the detector makes each an
+array and filters it with numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
 from .graph import Graph
 
-_BLOCK = 512  # steps per block handed out by _walk, one draw each
+_BLOCK = 512  # uniforms per block that _draws hands to _walk, one draw each
 _SCALAR = 4096  # steps a sample stream walks with _walk before the segments
 _SEG = 64  # steps per segment of a superblock
 _WARM = 32  # steps a segment walks from its guessed node before it is checked
@@ -92,21 +95,31 @@ class Sample(NamedTuple):
 Block = tuple[Union[list, np.ndarray], np.ndarray, int]
 
 
-def _walk(g: Graph, alpha: float, rng: np.random.Generator, start: int,
-          max_steps: int, stop: int = -1) -> Iterator[tuple[list[int], int]]:
-    """The walk as blocks (nodes, base) of at most _BLOCK steps.
+def _draws(rng: np.random.Generator, steps: int) -> Iterator[np.ndarray]:
+    """Move uniforms for `steps` steps, as rng.random(min(_BLOCK, steps
+    left)) blocks, each drawn only when the walk asks for it."""
+    while steps > 0:
+        u = rng.random(min(_BLOCK, steps))
+        steps -= len(u)
+        yield u
+
+
+def _walk(g: Graph, alpha: float, draws: Iterable[np.ndarray], start: int,
+          stop: int = -1) -> Iterator[tuple[list[int], int]]:
+    """The walk as blocks (nodes, base), one per array of move uniforms in
+    draws.
 
     nodes are the visits at raw steps base + 1, ..., base + len(nodes). The
-    walk ends after max_steps steps, or with the block whose last node is
-    the first visit of `stop` after the start.
+    walk ends with the last array, or with the block whose last node is the
+    first visit of `stop` after the start.
 
     Each step reads the degree d from g.offsets and jumps with probability
     alpha/(d + alpha), the float that numpy's alpha/(degrees + alpha) gives.
-    Each block draws its uniforms as rng.random(min(_BLOCK, steps left)) and
-    makes them Python floats in one call, so a walk that stops early leaves
-    at most one block of draws unused. With alpha == 0 the walk only
-    follows edges and so can stand on a zero-degree node only at the start;
-    WalkStuckError is raised there, before the first draw.
+    The caller draws the uniforms: _draws for a walk on its own generator,
+    so a walk that stops early leaves at most one block of draws unused,
+    or _segments for one segment. With alpha == 0 the walk only follows
+    edges and so can stand on a zero-degree node only at the start;
+    WalkStuckError is raised there, before the first array is asked for.
     As r < pj, a jump r/pj * n stays below n < 2**53; j can round up to d.
     _segments takes the same steps, many walks at a time, in numpy.
     """
@@ -117,10 +130,10 @@ def _walk(g: Graph, alpha: float, rng: np.random.Generator, start: int,
     offsets, neighbors = memoryview(g.offsets), memoryview(g.neighbors)
     if alpha == 0.0 and offsets[start + 1] == offsets[start]:
         raise WalkStuckError("stuck: zero degree, zero jump rate")
-    while steps < max_steps:
+    for u in draws:
         nodes = []
         visit = nodes.append
-        for r in rng.random(min(_BLOCK, max_steps - steps)).tolist():
+        for r in u.tolist():
             lo = offsets[cur]
             d = offsets[cur + 1] - lo
             pj = alpha / (d + alpha)
@@ -156,21 +169,10 @@ def walk_until_hit(g: Graph, cfg: WalkConfig, start: int | None,
         raise IndexError(f"start node {s0} out of range [0, {g.n})")
     if s0 == target:
         return 0
-    for nodes, base in _walk(g, cfg.alpha, rng, s0, cfg.max_steps, stop=target):
+    for nodes, base in _walk(g, cfg.alpha, _draws(rng, cfg.max_steps), s0, stop=target):
         if nodes[-1] == target:
             return base + len(nodes)
     return None
-
-
-class _Drawn:
-    """Stands in for a Generator: random(count) hands out u in order."""
-
-    def __init__(self, u: np.ndarray):
-        self.u, self.at = u, 0
-
-    def random(self, count: int) -> np.ndarray:
-        self.at += count
-        return self.u[self.at - count:self.at]
 
 
 def _step(cur: np.ndarray, r: np.ndarray, offsets: np.ndarray,
@@ -191,23 +193,24 @@ def _step(cur: np.ndarray, r: np.ndarray, offsets: np.ndarray,
 def _segments(g: Graph, alpha: float, start: int,
               u: np.ndarray) -> tuple[np.ndarray, bool]:
     """The nodes that _walk visits from `start` on the move uniforms u, as
-    an int64 array, and whether the walk should go back to _walk.
+    an int64 array, and whether more than _MAX_FAILED of the segments
+    failed. The caller draws u and, on True, decides where the walk goes.
 
     Segment i covers the steps i*_SEG, ..., (i+1)*_SEG - 1 of u. Segment 0
     starts at `start`; segment i > 0 starts _WARM steps early at `start`
     as a guess, and all segments step together through _step. Segment i is
     accepted when its guessed walk stands, before its first step, on the
     node where segment i-1 ends; that node is exact, so the whole segment
-    is. A failed segment is walked again by _walk from that node. Once more
-    than _MAX_FAILED of the segments failed, _walk walks the rest of u and
-    the second value is True. Each array has one entry per segment or per
-    step, none of size n. The tail of the last segment, past len(u), reads
-    padded uniforms of 0.5 and is dropped.
+    is. A failed segment is walked again by _walk, on its own uniforms,
+    from that node. Each array has one entry per segment or per step, none
+    of size n. The tail of the last segment, past len(u), reads padded
+    uniforms of 0.5 and is dropped.
     """
     alpha, count = float(alpha), -(-len(u) // _SEG)
     padded = np.full(count * _SEG, 0.5)
     padded[:len(u)] = u
-    cols = padded.reshape(count, _SEG).T.copy()  # cols[t, i]: step t of segment i
+    rows = padded.reshape(count, _SEG)  # rows[i]: the uniforms of segment i
+    cols = rows.T.copy()  # cols[t, i]: step t of segment i
     nodes = np.empty((count, _SEG), dtype=np.int64)
     cur = np.full(count, start, dtype=np.int64)
     neighbors = g.neighbors if len(g.neighbors) else np.zeros(1, np.int64)
@@ -218,42 +221,35 @@ def _segments(g: Graph, alpha: float, start: int,
         for t in range(_SEG):
             cur = _step(cur, cols[t], g.offsets, neighbors, alpha, g.n)
             nodes[:, t] = cur
-    flat, ends = nodes.reshape(-1), nodes[:, -1].tolist()
+    ends = nodes[:, -1].tolist()
     failed = 0
     for i in range(1, count):
-        if guess[i] == ends[i - 1]:
-            continue
-        failed += 1
-        rest = failed > _MAX_FAILED * count
-        steps = _walk(g, alpha, _Drawn(padded[i * _SEG:]), ends[i - 1],
-                      (count - i if rest else 1) * _SEG)
-        walked = [v for block, _ in steps for v in block]
-        flat[i * _SEG:i * _SEG + len(walked)] = walked
-        if rest:
-            return flat[:len(u)], True
-        ends[i] = walked[-1]
-    return flat[:len(u)], False
+        if guess[i] != ends[i - 1]:
+            failed += 1
+            nodes[i] = next(_walk(g, alpha, [rows[i]], ends[i - 1]))[0]
+            ends[i] = int(nodes[i, -1])
+    return nodes.reshape(-1)[:len(u)], failed > _MAX_FAILED * count
 
 
 def _moves(g: Graph, alpha: float, rng: np.random.Generator, start: int,
            max_steps: int) -> Iterator[tuple[Union[list, np.ndarray], int]]:
     """The walk as blocks (nodes, base), as _walk gives it: _walk's lists
     for the first _SCALAR steps, then int64 arrays of superblocks through
-    _segments, back to _walk's lists for good after a superblock with too
-    many failed segments. Both draw the same uniforms from rng, as float64
-    random() output does not depend on how it is chunked."""
-    for nodes, base in _walk(g, alpha, rng, start, min(max_steps, _SCALAR)):
+    _segments, and _walk's lists for the rest of the walk once a
+    superblock has too many failed segments; _moves alone makes that
+    switch. All of them read rng: _walk through _draws, _segments one
+    superblock at a time, and float64 random() output does not depend on
+    how it is chunked."""
+    for nodes, base in _walk(g, alpha, _draws(rng, min(max_steps, _SCALAR)), start):
         yield nodes, base
-    steps, cur = base + len(nodes), nodes[-1]
-    while steps < max_steps:
+    steps, cur, slow = base + len(nodes), nodes[-1], False
+    while steps < max_steps and not slow:
         nodes, slow = _segments(g, alpha, cur, rng.random(min(_SUPER, max_steps - steps)))
         yield nodes, steps
         steps += len(nodes)
         cur = int(nodes[-1])
-        if slow:
-            for block, base in _walk(g, alpha, rng, cur, max_steps - steps):
-                yield block, steps + base
-            return
+    for nodes, base in _walk(g, alpha, _draws(rng, max_steps - steps), cur):
+        yield nodes, steps + base
 
 
 def _visits(g: Graph, cfg: WalkConfig,

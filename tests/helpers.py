@@ -11,7 +11,7 @@ from degreewalk import DegreeRecord, Graph
 from degreewalk.analytics import transition_matrix
 from degreewalk.detector import (rule1_threshold, stopping_rule_0,
                                  stopping_rule_1, stopping_rule_2)
-from degreewalk.walk import (EveryStep, Thinned, WalkStuckError, _walk,
+from degreewalk.walk import (EveryStep, Thinned, WalkStuckError, _draws, _walk,
                              sample_stream)
 
 
@@ -197,7 +197,7 @@ def shared_rng_hitting_times(g: Graph, alpha: float, target: int,
         start = int(rng.integers(g.n))
         steps = 0
         if start != target:
-            for nodes, base in _walk(g, alpha, rng, start, 10 ** 7, stop=target):
+            for nodes, base in _walk(g, alpha, _draws(rng, 10 ** 7), start, stop=target):
                 steps = base + len(nodes)
         times.append(steps)
     return np.array(times, dtype=np.float64)

@@ -138,6 +138,15 @@ class TestHittingTimeExact:
             hitting_time_exact(g, 0.0, 0)
         # jumps make every node reachable
         assert hitting_time_exact(g, 1.0, 0) > 0
+        # on the path 0..L the far end reaches the target 0 after L hops,
+        # and h(i) = i * (2L - i); an edge apart from the path is unreachable
+        L, i = 299, np.arange(300)
+        edges = np.stack([i[:-1], i[1:]], axis=1)
+        path = dw.Graph.from_edges(edges, n=L + 1)
+        assert hitting_time_exact(path, 0.0, 0) == pytest.approx((i * (2 * L - i)).mean(), rel=1e-9)
+        apart = dw.Graph.from_edges(np.vstack([edges, [[L + 1, L + 2]]]), n=L + 3)
+        with pytest.raises(UnreachableTargetError, match="unreachable"):
+            hitting_time_exact(apart, 0.0, 0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("alpha", [1e-16, 1e-100, 1e-300, 5e-324])

@@ -12,7 +12,7 @@ import degreewalk as dw
 from degreewalk.cli import build_parser, main
 from degreewalk.experiments import read_csv_body
 
-from helpers import CORRUPT_CACHES
+from helpers import _PATH3, CORRUPT_CACHES
 
 
 @pytest.fixture
@@ -37,10 +37,22 @@ def pa_file(tmp_path):
     return str(path)
 
 
+def _npz_bytes(**members) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **members)
+    return buf.getvalue()
+
+
+# the path 0-1-2 as a cache, with one byte of neighbors.npy's data flipped
+_BAD_CRC = _npz_bytes(**_PATH3).replace(np.array([0, 2, 1]).tobytes(),
+                                        np.array([0, 2, 0]).tobytes())
+_OBJECT_MEMBER = _npz_bytes(**{**_PATH3, "neighbors": np.array(_PATH3["neighbors"], dtype=object)})
+
+
 class TestExitCodes:
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
-        assert "degreewalk" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"degreewalk {dw.__version__}\n"
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -237,11 +249,13 @@ class TestDetect:
         assert f"g.npz: {bad}:" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("content", [b"0 1\n1 2\n", b"PK\x03\x04" + b"junk" * 8,
-                                         b"", np.arange(3)],
-                             ids=["edge_text", "truncated_zip", "empty", "npy_array"])
+                                         b"", np.arange(3), _BAD_CRC, _OBJECT_MEMBER],
+                             ids=["edge_text", "truncated_zip", "empty", "npy_array",
+                                  "member_fails_crc", "member_of_objects"])
     def test_detect_rejects_a_file_that_is_no_cache(self, content, tmp_path, capsys):
-        """Edge-list text, a truncated zip, an empty file or a bare .npy
-        array behind a .npz name: exit code 2 and a message that names the
+        """Edge-list text, a truncated zip, an empty file, a bare .npy
+        array behind a .npz name, or a cache with a member that fails its
+        CRC or holds objects: exit code 2 and a message that names the
         cache and the fault, not a traceback or numpy's pickle advice."""
         path = tmp_path / "g.npz"
         if isinstance(content, bytes):

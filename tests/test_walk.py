@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import degreewalk as dw
 from degreewalk.analytics import transition_matrix
 from degreewalk import walk as walk_mod
-from degreewalk.walk import (EveryStep, Thinned, WalkConfig, WalkStuckError, _Drawn,
+from degreewalk.walk import (EveryStep, Thinned, WalkConfig, WalkStuckError, _draws,
                              _moves, _segments, _walk, sample_stream, walk_until_hit)
 
 from helpers import (random_connected_graph, reference_hit, reference_stream,
@@ -74,25 +74,20 @@ class TestStep:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(WalkStuckError, match="^stuck: zero degree, zero jump rate$"):
-            next(_walk(g, 0.0, rng, 2, 1000))
+            next(_walk(g, 0.0, _draws(rng, 1000), 2))
         assert rng.bit_generator.state == state
-
-    class _TopUniform:
-        """Every uniform is the largest double below 1."""
-
-        def random(self, size):
-            return np.full(size, np.nextafter(1.0, 0.0))
 
     def test_largest_uniform_stays_in_range(self):
         r, pj = np.nextafter(1.0, 0.0), 1.5 / (2 + 1.5)
         # at node 1 of the path, (r - pj)/(1 - pj) rounds to 1.0, so j = d
         assert (r - pj) / (1.0 - pj) == 1.0
         path = dw.Graph.from_edges(np.array([[0, 1], [1, 2]]), n=3)
-        assert next(_walk(path, 1.5, self._TopUniform(), 1, 1)) == ([2], 0)
+        top = [np.full(1, r)]  # one step on the largest double below 1
+        assert next(_walk(path, 1.5, top, 1)) == ([2], 0)
         # every step jumps (pj = 1), and r * n stays below n
         for n in (3, 1000, 10 ** 6):
             edgeless = dw.Graph.from_edges(np.empty((0, 2), dtype=np.int64), n=n)
-            assert next(_walk(edgeless, 1.0, self._TopUniform(), 0, 1)) == ([n - 1], 0)
+            assert next(_walk(edgeless, 1.0, top, 0)) == ([n - 1], 0)
 
     def test_counters_advance(self, star4):
         cfg = WalkConfig(alpha=0.5, seed=4, max_steps=10)
@@ -312,21 +307,28 @@ class TestConfigValidation:
 
 def scalar_nodes(g, alpha, start, u) -> list[int]:
     """The nodes _walk visits from start on the move uniforms u."""
-    return [v for nodes, _ in _walk(g, alpha, _Drawn(u), start, len(u)) for v in nodes]
+    return [v for nodes, _ in _walk(g, alpha, [u], start) for v in nodes]
 
 
 @pytest.fixture
 def fixups(monkeypatch):
-    """Counts the _walk calls of _segments: walks of one segment, and walks
-    of the rest of a superblock after too many failed segments."""
-    calls = {"segment": 0, "rest": 0}
+    """Counts the segments that _segments walks again with _walk, its calls
+    (superblocks) and those that report too many failed segments (slow),
+    after which _moves switches to _walk for good."""
+    calls = {"segment": 0, "superblock": 0, "slow": 0}
 
-    def counting(g, alpha, rng, start, max_steps, stop=-1):
-        if isinstance(rng, _Drawn):
-            calls["segment" if max_steps == walk_mod._SEG else "rest"] += 1
-        return _walk(g, alpha, rng, start, max_steps, stop)
+    def walk(g, alpha, draws, start, stop=-1):
+        calls["segment"] += isinstance(draws, list)
+        return _walk(g, alpha, draws, start, stop)
 
-    monkeypatch.setattr(walk_mod, "_walk", counting)
+    def segments(g, alpha, start, u):
+        nodes, slow = _segments(g, alpha, start, u)
+        calls["superblock"] += 1
+        calls["slow"] += slow
+        return nodes, slow
+
+    monkeypatch.setattr(walk_mod, "_walk", walk)
+    monkeypatch.setattr(walk_mod, "_segments", segments)
     return calls
 
 
@@ -343,27 +345,32 @@ class TestSegmentKernel:
     def pa2000(self):
         return dw.generate_pa(dw.PAConfig(n=2000, edges_per_node=1, seed=3))
 
-    @pytest.mark.parametrize("alpha, rest", [(0.0, 1), (0.05, 1), (2.0, 0)])
-    def test_pa_graph(self, pa2000, fixups, alpha, rest):
-        """At alpha = 0 and 0.05 most segments fail, so the superblock ends
-        in one walk of its rest; at alpha = 2 nearly all are accepted."""
+    @pytest.mark.parametrize("alpha, slow", [(0.0, 1), (0.05, 1), (2.0, 0)])
+    def test_pa_graph(self, pa2000, fixups, alpha, slow):
+        """At alpha = 0 and 0.05 most segments fail, and each is walked
+        again; at alpha = 2 nearly all are accepted."""
         u = np.random.default_rng(1).random(16384)
         got = _segments(pa2000, alpha, 7, u)
         assert got[0].tolist() == scalar_nodes(pa2000, alpha, 7, u)
-        assert got[1] == bool(rest) and fixups["rest"] == rest
-        if rest:  # the failure after the last one allowed walks the rest
-            assert fixups["segment"] == int(walk_mod._MAX_FAILED * 256)
-        else:
+        assert got[1] == bool(slow) == (fixups["segment"] > walk_mod._MAX_FAILED * 256)
+        if not slow:
             assert fixups["segment"] < 256 // 8
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 2.0])
-    def test_moves_on_pa_graph(self, pa2000, alpha):
-        """_walk's lists in the scalar phase and after a fallback, int64
-        arrays from _segments."""
+    def test_moves_on_pa_graph(self, pa2000, fixups, alpha):
+        """_walk's lists in the scalar phase, int64 arrays from _segments,
+        and at small alpha _walk's lists again: the first superblock has too
+        many failed segments, and _moves calls _segments no more."""
         rng = np.random.default_rng(4)
         blocks = [nodes for nodes, _ in _moves(pa2000, alpha, rng, 0, 40_000)]
-        assert isinstance(blocks[0], list) and isinstance(blocks[-1], list) == (alpha < 0.5)
-        assert all(isinstance(b, list) or b.dtype == np.int64 for b in blocks)
+        arrays = [i for i, b in enumerate(blocks) if not isinstance(b, list)]
+        assert all(blocks[i].dtype == np.int64 for i in arrays)
+        assert arrays[0] == walk_mod._SCALAR // walk_mod._BLOCK
+        if alpha < 0.5:
+            assert arrays == [arrays[0]] and fixups["superblock"] == fixups["slow"] == 1
+            assert len(blocks) > arrays[0] + 1
+        else:
+            assert arrays == list(range(arrays[0], len(blocks))) and fixups["slow"] == 0
         want = [v for v, _, _ in walk_reference(pa2000, alpha, np.random.default_rng(4),
                                                 None, 0, 40_000)]
         assert np.concatenate(blocks).tolist() == want
@@ -415,7 +422,7 @@ class TestSegmentKernel:
         u = np.random.default_rng(6).random(16384)
         nodes, slow = _segments(pa2000, 2.0, 0, u)
         assert nodes.tolist() == scalar_nodes(pa2000, 2.0, 0, u) and not slow
-        assert fixups["segment"] > 50 and fixups["rest"] == 0
+        assert fixups["segment"] > 50
 
     @pytest.mark.parametrize("max_steps", [walk_mod._SCALAR - 1, walk_mod._SCALAR,
                                            walk_mod._SCALAR + 1, 30_000])

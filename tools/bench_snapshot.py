@@ -9,21 +9,24 @@ run_seconds of BENCHMARK.json), the workloads
 taking turns so that a slow spell of the host falls on all of them, and
 then once traced (`--trace 1`). The file holds the machine, the best value
 of each end-to-end metric (best as BENCHMARK.json's "better" says) next to
-every raw value, the ops each run timed, each run's calibration_ms, and the
-per-layer metrics of the traced run. The script then prints, metric by
-metric, the change against the highest-numbered BENCH file before it, with
-the BENCHMARK.json bound of each end-to-end metric. The BENCH files are
-kept at the root of the checkout that holds this script, whichever
-checkout's bench is run.
+every raw value, the ops each run timed, each run's calibration_ms, the
+per-layer metrics of the traced run, and startup_s: the best of 5 new
+processes that run `python -c "import degreewalk.cli"` on the checkout's
+src. The script then prints, metric by metric, the change against the
+highest-numbered BENCH file before it, with the BENCHMARK.json bound of
+each end-to-end metric. The BENCH files are kept at the root of the
+checkout that holds this script, whichever checkout's bench is run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -52,6 +55,17 @@ def git_source(root: Path) -> dict:
             "dirty": None if status is None else bool(status)}
 
 
+def startup_times(root: Path) -> list[float]:
+    """Wall seconds of 5 processes that import degreewalk.cli from root/src."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import degreewalk.cli"], env=env, check=True)
+        times.append(time.perf_counter() - start)
+    return times
+
+
 def best(values: list[float], better: str) -> float:
     return min(values) if better == "lower" else max(values)
 
@@ -67,6 +81,8 @@ def snapshot(root: Path, spec: dict) -> dict:
         for name in names:
             print(f"run {i + 1}/{RUNS}: {name}", file=sys.stderr, flush=True)
             raw[name].append(run_bench(root, spec["command"], name, seconds, 0))
+    startup = startup_times(root)
+    out["startup_s"] = {"best": min(startup), "values": startup}
     for name in names:
         print(f"traced: {name}", file=sys.stderr, flush=True)
         meta, result = run_bench(root, spec["command"], name, seconds, 1)
@@ -99,7 +115,8 @@ def number(path: Path) -> int:
 def diff(old: dict, new: dict, bounds: dict) -> list[str]:
     """One line per metric: old best, new best, relative change, and for an
     end-to-end metric its bound and whether the change is past it."""
-    lines = []
+    a, b = old.get("startup_s", {}).get("best", float("nan")), new["startup_s"]["best"]
+    lines = [f"startup_s (best of 5)  {a:12.6g} -> {b:12.6g}  {(b - a) / a:+8.1%}"]
     for name, wl in new["workloads"].items():
         before = old["workloads"].get(name)
         if before is None:
