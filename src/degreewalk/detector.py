@@ -11,13 +11,17 @@ simplifies that to a hit floor for the weakest counter, and rule 2
 thresholds an estimated number of correct entries. A rule is scored
 only after a sample of a listed node: at any other sample the list is as
 it was at the last score, or changed since by unsampled visits only,
-which cannot make a rule fire.
+which cannot make a rule fire. Rules 0 and 2 read each member's factor
+1 - exp(-hits), which the list caches beside the counter and updates
+with it, so a score costs one exp per hit, not one per member; the
+product and the sum run over the same floats in the same order as
+error_score and coverage_score, and give their bits.
 
 The walk arrives in blocks of steps, each with a mask of the steps that
-the sampling mode keeps. Once the list is full, a step whose degree is
-below the worst listed degree can neither enter the list nor hit a
-member, so each block is filtered with numpy and only the steps left
-reach the list.
+the sampling mode keeps. Once the list is full, a step whose
+(-degree, node) key comes after the worst listed key can neither enter
+the list nor hit a member, so each block is filtered with numpy and only
+the steps left reach the list.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class CandidateList:
     improves, so a node that was rejected or evicted never re-enters.
     """
 
-    __slots__ = ("k", "_keys", "_hits")
+    __slots__ = ("k", "_keys", "_hits", "_factors")
 
     def __init__(self, k: int):
         if k < 1:
@@ -52,6 +56,7 @@ class CandidateList:
         self.k = k
         self._keys: list[tuple[int, int]] = []  # members' (-degree, node), best first
         self._hits: dict[int, int] = {}  # members' counters, in order of entry
+        self._factors: dict[int, float] = {}  # members' 1 - exp(-hits), likewise
 
     def __len__(self) -> int:
         return len(self._hits)
@@ -70,19 +75,22 @@ class CandidateList:
         if len(self._hits) >= self.k:
             if not (-degree, node) < self._keys[-1]:
                 return
-            del self._hits[self._keys.pop()[1]]
+            worst = self._keys.pop()[1]
+            del self._hits[worst], self._factors[worst]
         insort(self._keys, (-degree, node))
         self._hits[node] = 0
+        self._factors[node] = 0.0
 
     def update(self, node: int, degree: int) -> "CandidateList":
-        """Record one sample: observe the node, then bump its hit counter
-        if it is listed."""
+        """Record one sample: observe the node, then bump its hit counter,
+        and its factor with it, if it is listed."""
         hits = self._hits
         if node not in hits:
             self.observe(node, degree)
             if node not in hits:
                 return self
         hits[node] += 1
+        self._factors[node] = 1.0 - math.exp(-hits[node])
         return self
 
     def entries(self) -> list[tuple[int, int, int]]:
@@ -94,6 +102,10 @@ class CandidateList:
 
     def member_hits(self) -> list[int]:
         return list(self._hits.values())
+
+    def member_factors(self) -> list[float]:
+        """1 - exp(-hits) of each member, in the order of member_hits."""
+        return list(self._factors.values())
 
     def hits_of(self, node: int) -> int:
         return self._hits.get(node, 0)
@@ -112,10 +124,7 @@ class StopDecision:
 def error_score(hits) -> float:
     """Estimated probability bound that the list misses a true top-k node:
     2 * (1 - prod_i (1 - exp(-hits_i)))."""
-    prod = 1.0
-    for x in hits:
-        prod *= 1.0 - math.exp(-x)
-    return 2.0 * (1.0 - prod)
+    return 2.0 * (1.0 - math.prod(1.0 - math.exp(-x) for x in hits))
 
 
 def min_hit_error_score(hits) -> float:
@@ -132,10 +141,11 @@ def coverage_score(hits) -> float:
 
 
 def stopping_rule_0(lst: CandidateList, a_bar: float) -> bool:
-    """Fire when the full-product error estimate drops to a_bar."""
+    """Fire when the full-product error estimate drops to a_bar: the float
+    of error_score(lst.member_hits()), from the list's cached factors."""
     if not lst.is_full:
         return False
-    return error_score(lst.member_hits()) <= a_bar
+    return 2.0 * (1.0 - math.prod(lst.member_factors())) <= a_bar
 
 
 def check_rule_threshold(rule: str, threshold: float, k: int) -> None:
@@ -181,8 +191,9 @@ def stopping_rule_1(lst: CandidateList, x0: int) -> bool:
 
 
 def stopping_rule_2(lst: CandidateList, b_bar: float) -> bool:
-    """Fire when the coverage score reaches b_bar (no fullness required)."""
-    return coverage_score(lst.member_hits()) >= b_bar
+    """Fire when the coverage score reaches b_bar (no fullness required):
+    the float of coverage_score(lst.member_hits()), from cached factors."""
+    return sum(lst.member_factors()) >= b_bar
 
 
 _RULES = {"r0": stopping_rule_0, "r1": stopping_rule_1, "r2": stopping_rule_2}
@@ -203,10 +214,12 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
     evictions drop counters.
 
     Each walk block is cut at the sample that exhausts the budget. Once the
-    list is full, only the steps whose degree is at least the worst listed
-    degree at the block's start reach the list. Every member has at least
-    that degree, and the worst key only improves, so a skipped step is a
-    non-member that cannot enter: it would change nothing.
+    list is full, only the steps whose (-degree, node) key is at or before
+    the worst listed key at the block's start reach the list: a degree
+    above the worst degree, or the worst degree and a node id at most the
+    worst node's. Every member's key is at or before it, and the worst key
+    only improves, so a skipped step is a non-member that cannot enter: it
+    would change nothing.
     """
     if k > g.n:
         raise ValueError(f"k={k} exceeds node count n={g.n}")
@@ -224,8 +237,9 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
         if stop_sample is not None and at[-1] >= stop_sample:
             end = int(np.searchsorted(at, stop_sample)) + 1
         degs = degrees[nodes[:end]]
-        floor = -lst._keys[-1][0] if lst.is_full else 0
-        sel = np.flatnonzero(degs >= floor)
+        floor, worst = lst._keys[-1] if lst.is_full else (0, g.n)
+        sel = np.flatnonzero(degs >= -floor)
+        sel = sel[(degs[sel] > -floor) | (nodes[sel] <= worst)]
         for j, node, deg, keep in zip(sel.tolist(), nodes[sel].tolist(),
                                       degs[sel].tolist(), kept[sel].tolist()):
             if keep:

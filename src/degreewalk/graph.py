@@ -52,11 +52,12 @@ class Graph:
             neighbors[offsets[i]:offsets[i+1]], sorted ascending.
         neighbors: flattened adjacency (each undirected edge appears twice).
         degrees: per-node degree, degrees[i] == offsets[i+1]-offsets[i].
+        d_max: the largest degree, 0 when there are no nodes.
         m_edges: number of undirected edges, sum(degrees) == 2*m_edges.
         original_ids: mapping from dense node id back to the input id.
     """
 
-    __slots__ = ("n", "offsets", "neighbors", "degrees", "m_edges", "original_ids")
+    __slots__ = ("n", "offsets", "neighbors", "degrees", "d_max", "m_edges", "original_ids")
 
     def __init__(self, offsets: np.ndarray, neighbors: np.ndarray,
                  original_ids: np.ndarray | None = None):
@@ -95,7 +96,7 @@ class Graph:
         if len(ids) and ids.min() < 0:
             raise ValueError("original_ids: an id is negative")
         self.n, self.offsets, self.neighbors, self.degrees = n, off, nbr, degrees
-        self.m_edges = len(nbr) // 2
+        self.d_max, self.m_edges = int(degrees.max(initial=0)), len(nbr) // 2
         self.original_ids = ids
         for arr in (off, nbr, degrees, ids):
             arr.setflags(write=False)

@@ -38,10 +38,10 @@ import numpy as np
 from .graph import Graph
 
 _BLOCK = 512  # uniforms per block that _draws hands to _walk, one draw each
-_SCALAR = 4096  # steps a sample stream walks with _walk before the segments
-_SEG = 64  # steps per segment of a superblock
+_SCALAR = 1024  # steps a sample stream walks with _walk before the segments
+_SUPER = 16384  # steps in a stream's first superblock; later ones have twice as many
+_SEGMENTS = 512  # segments per full superblock, stepped together
 _WARM = 32  # steps a segment walks from its guessed node before it is checked
-_SUPER = 16384  # steps per superblock
 _MAX_FAILED = 0.5  # share of a superblock's segments that may fail
 
 
@@ -175,51 +175,66 @@ def walk_until_hit(g: Graph, cfg: WalkConfig, start: int | None,
     return None
 
 
-def _step(cur: np.ndarray, r: np.ndarray, offsets: np.ndarray,
-          neighbors: np.ndarray, alpha: float, n: int) -> np.ndarray:
+def _jumps(g: Graph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """pj = alpha/(d + alpha) and 1 - pj for each degree d = 0, ..., g.d_max,
+    the floats _walk computes at a node of degree d: int + float and
+    float / float are the same IEEE operations in Python and numpy. At
+    alpha == 0 the entry of degree 0 is 0/0, nan, where no walk moves."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pj = alpha / (np.arange(g.d_max + 1) + alpha)
+    return pj, 1.0 - pj
+
+
+def _step(cur: np.ndarray, r: np.ndarray, g: Graph, neighbors: np.ndarray,
+          jumps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """One step of every walk in cur with uniforms r: the arithmetic of
-    _walk's loop, which it must match bit for bit. Both branches are
+    _walk's loop, which it must match bit for bit, with d read from
+    g.degrees and pj and 1 - pj from the _jumps tables. Both branches are
     evaluated for every walk; the caller silences the nan and inf of the
     branch a walk does not take, and take(mode="clip") keeps its index in
     range."""
-    lo = offsets[cur]
-    d = offsets[cur + 1] - lo
-    pj = alpha / (d + alpha)
-    j = ((r - pj) / (1.0 - pj) * d).astype(np.int64)
+    d, lo = g.degrees.take(cur), g.offsets.take(cur)
+    pj, qj = jumps[0].take(d), jumps[1].take(d)
+    j = ((r - pj) / qj * d).astype(np.int64)
     nbr = neighbors.take(lo + np.minimum(j, d - 1), mode="clip")
-    return np.where(r < pj, (r / pj * n).astype(np.int64), nbr)
+    return np.where(r < pj, (r / pj * g.n).astype(np.int64), nbr)
 
 
-def _segments(g: Graph, alpha: float, start: int,
-              u: np.ndarray) -> tuple[np.ndarray, bool]:
+def _segments(g: Graph, alpha: float, start: int, u: np.ndarray,
+              jumps: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, bool]:
     """The nodes that _walk visits from `start` on the move uniforms u, as
     an int64 array, and whether more than _MAX_FAILED of the segments
-    failed. The caller draws u and, on True, decides where the walk goes.
+    failed. The caller draws u and the _jumps tables and, on True, decides
+    where the walk goes.
 
-    Segment i covers the steps i*_SEG, ..., (i+1)*_SEG - 1 of u. Segment 0
-    starts at `start`; segment i > 0 starts _WARM steps early at `start`
-    as a guess, and all segments step together through _step. Segment i is
-    accepted when its guessed walk stands, before its first step, on the
-    node where segment i-1 ends; that node is exact, so the whole segment
-    is. A failed segment is walked again by _walk, on its own uniforms,
-    from that node. Each array has one entry per segment or per step, none
-    of size n. The tail of the last segment, past len(u), reads padded
-    uniforms of 0.5 and is dropped.
+    u is cut into at most _SEGMENTS segments of seg >= _WARM steps each:
+    32 steps in a 16384-step superblock, 64 in a 32768-step one. Segment i
+    covers the steps i*seg, ..., (i+1)*seg - 1 of u. Segment 0 starts at
+    `start`; segment i > 0 starts _WARM steps early at `start` as a guess,
+    on the last uniforms of segment i-1, and all segments step together
+    through _step, one numpy column per step: _WARM + seg columns in all.
+    Segment i is accepted when its guessed walk stands, before its first
+    step, on the node where segment i-1 ends; that node is exact, so the
+    whole segment is. A failed segment is walked again by _walk, on its own
+    uniforms, from that node. Each array has one entry per segment or per
+    step, none of size n. The tail of the last segment, past len(u), reads
+    padded uniforms of 0.5 and is dropped.
     """
-    alpha, count = float(alpha), -(-len(u) // _SEG)
-    padded = np.full(count * _SEG, 0.5)
+    alpha, seg = float(alpha), max(_WARM, -(-len(u) // _SEGMENTS))
+    count = -(-len(u) // seg)
+    padded = np.full(count * seg, 0.5)
     padded[:len(u)] = u
-    rows = padded.reshape(count, _SEG)  # rows[i]: the uniforms of segment i
+    rows = padded.reshape(count, seg)  # rows[i]: the uniforms of segment i
     cols = rows.T.copy()  # cols[t, i]: step t of segment i
-    nodes = np.empty((count, _SEG), dtype=np.int64)
+    nodes = np.empty((count, seg), dtype=np.int64)
     cur = np.full(count, start, dtype=np.int64)
     neighbors = g.neighbors if len(g.neighbors) else np.zeros(1, np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(_SEG - _WARM, _SEG):
-            cur[1:] = _step(cur[1:], cols[t, :-1], g.offsets, neighbors, alpha, g.n)
+        for t in range(seg - _WARM, seg):
+            cur[1:] = _step(cur[1:], cols[t, :-1], g, neighbors, jumps)
         guess = cur.tolist()
-        for t in range(_SEG):
-            cur = _step(cur, cols[t], g.offsets, neighbors, alpha, g.n)
+        for t in range(seg):
+            cur = _step(cur, cols[t], g, neighbors, jumps)
             nodes[:, t] = cur
     ends = nodes[:, -1].tolist()
     failed = 0
@@ -235,19 +250,20 @@ def _moves(g: Graph, alpha: float, rng: np.random.Generator, start: int,
            max_steps: int) -> Iterator[tuple[Union[list, np.ndarray], int]]:
     """The walk as blocks (nodes, base), as _walk gives it: _walk's lists
     for the first _SCALAR steps, then int64 arrays of superblocks through
-    _segments, and _walk's lists for the rest of the walk once a
-    superblock has too many failed segments; _moves alone makes that
-    switch. All of them read rng: _walk through _draws, _segments one
-    superblock at a time, and float64 random() output does not depend on
-    how it is chunked."""
+    _segments, _SUPER steps in the first and 2 * _SUPER in each later one,
+    and _walk's lists for the rest of the walk once a superblock has too
+    many failed segments; _moves alone makes that switch. All of them read
+    rng: _walk through _draws, _segments one superblock at a time, and
+    float64 random() output does not depend on how it is chunked. The
+    _jumps tables are built once, when the first superblock is drawn."""
     for nodes, base in _walk(g, alpha, _draws(rng, min(max_steps, _SCALAR)), start):
         yield nodes, base
-    steps, cur, slow = base + len(nodes), nodes[-1], False
+    steps, cur, slow, size = base + len(nodes), nodes[-1], False, _SUPER
+    jumps = _jumps(g, alpha) if steps < max_steps else None
     while steps < max_steps and not slow:
-        nodes, slow = _segments(g, alpha, cur, rng.random(min(_SUPER, max_steps - steps)))
+        nodes, slow = _segments(g, alpha, cur, rng.random(min(size, max_steps - steps)), jumps)
         yield nodes, steps
-        steps += len(nodes)
-        cur = int(nodes[-1])
+        steps, cur, size = steps + len(nodes), int(nodes[-1]), 2 * _SUPER
     for nodes, base in _walk(g, alpha, _draws(rng, max_steps - steps), cur):
         yield nodes, steps + base
 

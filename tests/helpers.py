@@ -382,6 +382,9 @@ class CandidateListReference:
     def member_hits(self) -> list[int]:
         return [self._hits.get(v, 0) for v in self._deg]
 
+    def member_factors(self) -> list[float]:
+        return [1.0 - math.exp(-x) for x in self.member_hits()]
+
 
 def reference_decision(g: Graph, cfg, k: int, rule: str, threshold: float):
     """Oracle for detect_with_rule / detect_fixed_m_decision: feeds every

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -122,6 +124,7 @@ class TestCandidateList:
             else:
                 lst.observe(node, node % 7)
             assert set(lst._hits) == lst.members()
+            assert list(lst._factors) == list(lst._hits)
 
     def test_evicted_node_reports_zero_hits(self):
         lst = CandidateList(1)
@@ -193,6 +196,36 @@ class TestScores:
         assert before == pytest.approx(1.0, abs=1e-4)
         assert after == pytest.approx(1.0 - np.exp(-1.0), abs=1e-12)
         assert after < before
+
+
+class TestCachedFactors:
+    """Rules 0 and 2 score the factors 1 - exp(-hits) that the list caches
+    beside its counters; they must decide as error_score and
+    coverage_score do on member_hits(), to the last bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([1, 10, 50]), seed=st.integers(0, 2**32 - 1))
+    def test_rules_decide_as_scores(self, k, seed):
+        """600 entries, hits and evictions, a third of them on nodes 6, 19
+        and 32, which share the top degree and gather many hits."""
+        rng = np.random.default_rng(seed)
+        hot = rng.random(600) < 1 / 3
+        nodes = np.where(hot, rng.choice([6, 19, 32], 600), rng.integers(0, 3 * k + 6, 600))
+        lst = CandidateList(k)
+        for node, sampled in zip(nodes.tolist(), (rng.random(600) < 0.5).tolist()):
+            deg = node * 2 % 13  # one degree per node, ties included
+            lst.update(node, deg) if sampled else lst.observe(node, deg)
+            hits = lst.member_hits()
+            assert lst.member_factors() == [1.0 - math.exp(-x) for x in hits]
+            prod = 1.0  # the product as a loop, factor by factor
+            for x in hits:
+                prod *= 1.0 - math.exp(-x)
+            err, cov = error_score(hits), coverage_score(hits)
+            assert err == 2.0 * (1.0 - prod)
+            for a_bar in (err, np.nextafter(err, -np.inf), np.nextafter(err, np.inf)):
+                assert stopping_rule_0(lst, a_bar) == (lst.is_full and err <= a_bar)
+            for b_bar in (cov, np.nextafter(cov, -np.inf), np.nextafter(cov, np.inf)):
+                assert stopping_rule_2(lst, b_bar) == (cov >= b_bar)
 
 
 class TestRule1:
@@ -479,6 +512,25 @@ class TestDetection:
         got = (dec.fired, dec.fired_at_samples, dec.raw_steps,
                dec.final_list.entries())
         assert got == reference_decision(g, cfg, k, rule, threshold)
+
+    @pytest.mark.parametrize("mode", [EveryStep(), Thinned(transient=300, q=0.5)])
+    def test_ties_with_the_worst_degree(self, monkeypatch, mode):
+        """On a cycle every step ties the worst listed degree, so the block
+        filter passes only the steps at or below the worst listed node id;
+        the decision is still the reference's."""
+        n = 3000
+        g = dw.Graph.from_edges(np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1), n=n)
+        cfg = WalkConfig(alpha=0.05, seed=5, max_steps=100_000, mode=mode)
+        calls = []
+        for name in ("update", "observe"):
+            def count(self, node, degree, method=getattr(CandidateList, name)):
+                calls.append(node)
+                return method(self, node, degree)
+            monkeypatch.setattr(CandidateList, name, count)
+        dec = detect_fixed_m_decision(g, cfg, 10, 20_000)
+        assert dec.raw_steps >= 20_000 and len(calls) < 5_000
+        assert ((dec.fired, dec.fired_at_samples, dec.raw_steps, dec.final_list.entries())
+                == reference_decision(g, cfg, 10, "fixed", 20_000))
 
     @pytest.mark.parametrize("rule, threshold", [
         ("fixed", 1500), ("r0", 0.3), ("r1", 0.3), ("r2", 9.9)])

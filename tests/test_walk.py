@@ -7,7 +7,8 @@ import degreewalk as dw
 from degreewalk.analytics import transition_matrix
 from degreewalk import walk as walk_mod
 from degreewalk.walk import (EveryStep, Thinned, WalkConfig, WalkStuckError, _draws,
-                             _moves, _segments, _walk, sample_stream, walk_until_hit)
+                             _jumps, _moves, _segments, _walk, sample_stream,
+                             walk_until_hit)
 
 from helpers import (random_connected_graph, reference_hit, reference_stream,
                      shared_rng_hitting_times, walk_reference)
@@ -96,10 +97,10 @@ class TestStep:
 
 
 # transients that end inside the first 512-step block, on its last step,
-# on the first step of the second block, on the last step of the eighth
-# block, inside the ninth block and inside the seventeenth
+# on the first step of the second block, on the last step of the scalar
+# phase (two blocks) and inside the first superblock, twice
 KERNEL_MODES = [EveryStep(), Thinned(transient=100, q=0.3),
-                Thinned(transient=4096, q=0.5), Thinned(transient=4500, q=0.6),
+                Thinned(transient=1024, q=0.5), Thinned(transient=4500, q=0.6),
                 Thinned(transient=8200, q=0.9), Thinned(transient=512, q=0.4),
                 Thinned(transient=513, q=0.7)]
 
@@ -122,7 +123,7 @@ class TestKernelMatchesReference:
                           max_size=12),
            alpha=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
            mode=st.sampled_from(KERNEL_MODES),
-           max_steps=st.sampled_from([1, 50, 4096, 4097, 9000]),
+           max_steps=st.sampled_from([1, 50, 1024, 1025, 9000, 20_000]),
            seed=st.integers(0, 2**32 - 1),
            start=st.none() | st.integers(0, 7), target=st.integers(0, 7))
     def test_matches_table_kernel(self, n, pairs, alpha, mode, max_steps, seed,
@@ -310,6 +311,11 @@ def scalar_nodes(g, alpha, start, u) -> list[int]:
     return [v for nodes, _ in _walk(g, alpha, [u], start) for v in nodes]
 
 
+def segments(g, alpha, start, u) -> tuple[np.ndarray, bool]:
+    """_segments on the _jumps tables of g and alpha."""
+    return _segments(g, alpha, start, u, _jumps(g, alpha))
+
+
 @pytest.fixture
 def fixups(monkeypatch):
     """Counts the segments that _segments walks again with _walk, its calls
@@ -321,8 +327,8 @@ def fixups(monkeypatch):
         calls["segment"] += isinstance(draws, list)
         return _walk(g, alpha, draws, start, stop)
 
-    def segments(g, alpha, start, u):
-        nodes, slow = _segments(g, alpha, start, u)
+    def segments(g, alpha, start, u, jumps):
+        nodes, slow = _segments(g, alpha, start, u, jumps)
         calls["superblock"] += 1
         calls["slow"] += slow
         return nodes, slow
@@ -347,14 +353,18 @@ class TestSegmentKernel:
 
     @pytest.mark.parametrize("alpha, slow", [(0.0, 1), (0.05, 1), (2.0, 0)])
     def test_pa_graph(self, pa2000, fixups, alpha, slow):
-        """At alpha = 0 and 0.05 most segments fail, and each is walked
-        again; at alpha = 2 nearly all are accepted."""
-        u = np.random.default_rng(1).random(16384)
-        got = _segments(pa2000, alpha, 7, u)
-        assert got[0].tolist() == scalar_nodes(pa2000, alpha, 7, u)
-        assert got[1] == bool(slow) == (fixups["segment"] > walk_mod._MAX_FAILED * 256)
-        if not slow:
-            assert fixups["segment"] < 256 // 8
+        """A superblock of either size is cut into 512 segments. At alpha =
+        0 and 0.05 most of them fail, and each is walked again; at alpha = 2
+        nearly all are accepted."""
+        assert walk_mod._SEGMENTS == 512
+        for size in (walk_mod._SUPER, 2 * walk_mod._SUPER):
+            fixups["segment"] = 0
+            u = np.random.default_rng(1).random(size)
+            got = segments(pa2000, alpha, 7, u)
+            assert got[0].tolist() == scalar_nodes(pa2000, alpha, 7, u)
+            assert got[1] == bool(slow) == (fixups["segment"] > walk_mod._MAX_FAILED * 512)
+            if not slow:
+                assert fixups["segment"] < 512 // 8
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 2.0])
     def test_moves_on_pa_graph(self, pa2000, fixups, alpha):
@@ -362,33 +372,35 @@ class TestSegmentKernel:
         and at small alpha _walk's lists again: the first superblock has too
         many failed segments, and _moves calls _segments no more."""
         rng = np.random.default_rng(4)
-        blocks = [nodes for nodes, _ in _moves(pa2000, alpha, rng, 0, 40_000)]
+        blocks = [nodes for nodes, _ in _moves(pa2000, alpha, rng, 0, 60_000)]
         arrays = [i for i, b in enumerate(blocks) if not isinstance(b, list)]
         assert all(blocks[i].dtype == np.int64 for i in arrays)
-        assert arrays[0] == walk_mod._SCALAR // walk_mod._BLOCK
+        assert arrays[0] == walk_mod._SCALAR // walk_mod._BLOCK == 2
+        sizes = [len(blocks[i]) for i in arrays]
         if alpha < 0.5:
             assert arrays == [arrays[0]] and fixups["superblock"] == fixups["slow"] == 1
-            assert len(blocks) > arrays[0] + 1
+            assert len(blocks) > arrays[0] + 1 and sizes == [walk_mod._SUPER]
         else:
             assert arrays == list(range(arrays[0], len(blocks))) and fixups["slow"] == 0
+            assert sizes == [16384, 32768, 60_000 - 1024 - 16384 - 32768]
         want = [v for v, _, _ in walk_reference(pa2000, alpha, np.random.default_rng(4),
-                                                None, 0, 40_000)]
+                                                None, 0, 60_000)]
         assert np.concatenate(blocks).tolist() == want
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 2.0])
     def test_cycle(self, alpha):
         g = cycle(1000)
         u = np.random.default_rng(2).random(8192)
-        assert _segments(g, alpha, 0, u)[0].tolist() == scalar_nodes(g, alpha, 0, u)
+        assert segments(g, alpha, 0, u)[0].tolist() == scalar_nodes(g, alpha, 0, u)
 
     def test_isolated_nodes_jump(self):
         """pj = alpha/(0 + alpha) = 1 on an isolated node: every uniform
         jumps from it, and the move branch divides by 1 - pj = 0."""
         g = dw.Graph.from_edges(np.array([[0, 1], [1, 2]]), n=50)
         u = np.random.default_rng(3).random(5000)
-        assert _segments(g, 0.7, 30, u)[0].tolist() == scalar_nodes(g, 0.7, 30, u)
+        assert segments(g, 0.7, 30, u)[0].tolist() == scalar_nodes(g, 0.7, 30, u)
         edgeless = dw.Graph.from_edges(np.empty((0, 2), dtype=np.int64), n=9)
-        assert _segments(edgeless, 1.0, 4, u)[0].tolist() == scalar_nodes(edgeless, 1.0, 4, u)
+        assert segments(edgeless, 1.0, 4, u)[0].tolist() == scalar_nodes(edgeless, 1.0, 4, u)
 
     def test_stuck_start_raises_before_any_draw(self):
         g = dw.Graph.from_edges(np.array([[0, 1]]), n=3)
@@ -403,15 +415,15 @@ class TestSegmentKernel:
         d is clamped, and a jump from an isolated node stays below n."""
         u = np.full(3000, np.nextafter(1.0, 0.0))
         path = dw.Graph.from_edges(np.array([[0, 1], [1, 2]]), n=3)
-        assert _segments(path, 1.5, 1, u)[0].tolist() == scalar_nodes(path, 1.5, 1, u)
+        assert segments(path, 1.5, 1, u)[0].tolist() == scalar_nodes(path, 1.5, 1, u)
         for g, alpha in ((pa2000, 2.0), (pa2000, 0.0), (cycle(10), 0.3),
                          (dw.Graph.from_edges(np.empty((0, 2), dtype=np.int64), n=10 ** 6), 1.0)):
-            assert _segments(g, alpha, 1, u)[0].tolist() == scalar_nodes(g, alpha, 1, u)
+            assert segments(g, alpha, 1, u)[0].tolist() == scalar_nodes(g, alpha, 1, u)
 
-    @pytest.mark.parametrize("length", [1, 63, 64, 65, 1000, 8191])
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 1000, 8191, 20_000, 32_767])
     def test_superblock_not_a_multiple_of_segments(self, pa2000, length):
         u = np.random.default_rng(length).random(length)
-        got = _segments(pa2000, 2.0, 11, u)[0]
+        got = segments(pa2000, 2.0, 11, u)[0]
         assert got.shape == (length,) and got.tolist() == scalar_nodes(pa2000, 2.0, 11, u)
 
     def test_failed_segments_walked_again(self, pa2000, fixups, monkeypatch):
@@ -420,19 +432,45 @@ class TestSegmentKernel:
         monkeypatch.setattr(walk_mod, "_WARM", 1)
         monkeypatch.setattr(walk_mod, "_MAX_FAILED", 1.0)
         u = np.random.default_rng(6).random(16384)
-        nodes, slow = _segments(pa2000, 2.0, 0, u)
+        nodes, slow = segments(pa2000, 2.0, 0, u)
         assert nodes.tolist() == scalar_nodes(pa2000, 2.0, 0, u) and not slow
         assert fixups["segment"] > 50
 
     @pytest.mark.parametrize("max_steps", [walk_mod._SCALAR - 1, walk_mod._SCALAR,
-                                           walk_mod._SCALAR + 1, 30_000])
+                                           walk_mod._SCALAR + 1, 4095, 4096, 4097,
+                                           30_000, 60_000])
     @pytest.mark.parametrize("mode", [EveryStep(), Thinned(transient=100, q=0.5),
                                       Thinned(transient=walk_mod._SCALAR + 3000, q=0.3)])
     def test_stream_around_the_scalar_phase(self, pa2000, max_steps, mode):
         """max_steps below, at and above the steps walked by _walk alone,
-        and a transient that ends inside the first superblock."""
+        inside the first superblock, inside the second and past it, and a
+        transient that ends inside the first superblock."""
         cfg = WalkConfig(alpha=2.0, seed=9, max_steps=max_steps, mode=mode)
         assert [tuple(s) for s in sample_stream(pa2000, cfg)] == reference_stream(pa2000, cfg)
+
+    @pytest.mark.parametrize("max_steps", [1000, walk_mod._SCALAR])
+    def test_short_stream_walks_no_segments(self, pa2000, fixups, max_steps):
+        cfg = WalkConfig(alpha=2.0, seed=9, max_steps=max_steps, mode=Thinned(100, 0.5))
+        assert [tuple(s) for s in sample_stream(pa2000, cfg)] == reference_stream(pa2000, cfg)
+        assert fixups["superblock"] == 0
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 2.0])
+    def test_lean_column_at_the_largest_degree(self, alpha):
+        """The _jumps tables hold _walk's floats up to the largest degree,
+        the hub's, their last entry; at alpha = 0 the degree-0 entry is nan,
+        and no warning is raised. A walk that visits the hub, on a graph
+        with isolated nodes, steps as _walk does."""
+        edges = [(0, i) for i in range(1, 41)] + [(40, 41), (41, 42), (42, 43)]
+        g = dw.Graph.from_edges(np.array(edges), n=60)  # 44, ..., 59 isolated
+        pj, qj = _jumps(g, alpha)
+        assert len(pj) == len(qj) == g.d_max + 1 == 41
+        assert pj[1:].tolist() == [alpha / (d + alpha) for d in range(1, 41)]
+        assert qj[1:].tolist() == [1.0 - alpha / (d + alpha) for d in range(1, 41)]
+        assert np.isnan(pj[0]) if alpha == 0.0 else pj[0] == 1.0
+        u = np.random.default_rng(5).random(5000)
+        want = scalar_nodes(g, alpha, 43, u)
+        assert 0 in want and (alpha == 0.0 or max(want) >= 44)
+        assert segments(g, alpha, 43, u)[0].tolist() == want
 
     def test_samples_hold_python_ints(self, pa2000):
         cfg = WalkConfig(alpha=2.0, seed=1, max_steps=20_000)
