@@ -120,7 +120,7 @@ def hitting_time_exact(g: Graph, alpha: float, target: int,
                 "unreachable target: alpha=0 and the graph does not connect "
                 "every node to the target")
     # solve in units of 2**e > max(w): exact, so h is unchanged, and no huge alpha overflows
-    e = math.frexp(int(g.degrees.max()) + alpha)[1]
+    e = math.frexp(g.d_max + alpha)[1]
     w, jump = np.ldexp(g.degrees + alpha, -e), np.ldexp(alpha, -e) / g.n
 
     def kernel(x):  # x[target] is 0 on every call, so only its row is zeroed

@@ -90,7 +90,7 @@ def _cmd_generate(args) -> int:
         g = generators.generate_config_model(
             generators.ConfigModelConfig(n=args.n, tail=tail, seed=args.seed))
     _emit(args, g.to_edge_lines())
-    print(f"n={g.n} m_edges={g.m_edges} d_max={int(g.degrees.max())}",
+    print(f"n={g.n} m_edges={g.m_edges} d_max={g.d_max}",
           file=sys.stderr)
     return 0
 
@@ -103,7 +103,7 @@ def _cmd_ingest(args) -> int:
         g.save_npz(args.cache)
     if args.out:
         _emit(args, g.to_edge_lines())
-    print(f"n={g.n} m_edges={g.m_edges} d_max={int(g.degrees.max())} "
+    print(f"n={g.n} m_edges={g.m_edges} d_max={g.d_max} "
           f"avg_degree={g.average_degree():.6g}")
     return 0
 

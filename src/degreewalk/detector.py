@@ -11,11 +11,9 @@ simplifies that to a hit floor for the weakest counter, and rule 2
 thresholds an estimated number of correct entries. A rule is scored
 only after a sample of a listed node: at any other sample the list is as
 it was at the last score, or changed since by unsampled visits only,
-which cannot make a rule fire. Rules 0 and 2 read each member's factor
-1 - exp(-hits), which the list caches beside the counter and updates
-with it, so a score costs one exp per hit, not one per member; the
-product and the sum run over the same floats in the same order as
-error_score and coverage_score, and give their bits.
+which cannot make a rule fire. Rules 0 and 2 read the factors
+1 - exp(-hits) that the list caches beside its counters, one exp per hit;
+in the same order, they give error_score's and coverage_score's bits.
 
 The walk arrives in blocks of steps, each with a mask of the steps that
 the sampling mode keeps. Once the list is full, a step whose
@@ -141,8 +139,7 @@ def coverage_score(hits) -> float:
 
 
 def stopping_rule_0(lst: CandidateList, a_bar: float) -> bool:
-    """Fire when the full-product error estimate drops to a_bar: the float
-    of error_score(lst.member_hits()), from the list's cached factors."""
+    """Fire when the full-product error estimate drops to a_bar."""
     if not lst.is_full:
         return False
     return 2.0 * (1.0 - math.prod(lst.member_factors())) <= a_bar
@@ -191,8 +188,7 @@ def stopping_rule_1(lst: CandidateList, x0: int) -> bool:
 
 
 def stopping_rule_2(lst: CandidateList, b_bar: float) -> bool:
-    """Fire when the coverage score reaches b_bar (no fullness required):
-    the float of coverage_score(lst.member_hits()), from cached factors."""
+    """Fire when the coverage score reaches b_bar (no fullness required)."""
     return sum(lst.member_factors()) >= b_bar
 
 
@@ -213,13 +209,12 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
     rule 2's coverage can only have fallen, as entries start at 0 hits and
     evictions drop counters.
 
-    Each walk block is cut at the sample that exhausts the budget. Once the
-    list is full, only the steps whose (-degree, node) key is at or before
-    the worst listed key at the block's start reach the list: a degree
-    above the worst degree, or the worst degree and a node id at most the
-    worst node's. Every member's key is at or before it, and the worst key
-    only improves, so a skipped step is a non-member that cannot enter: it
-    would change nothing.
+    Each walk block is cut at the sample that exhausts the budget, and
+    filtered in pieces of max(k, raw steps so far) steps: only the steps
+    whose (-degree, node) key is at or before the worst listed key at the
+    piece's start reach a full list. Every member's key is, and the worst
+    key only improves, so a skipped step is a non-member that cannot
+    enter: it would change nothing.
     """
     if k > g.n:
         raise ValueError(f"k={k} exceeds node count n={g.n}")
@@ -236,19 +231,22 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
         end = len(nodes)
         if stop_sample is not None and at[-1] >= stop_sample:
             end = int(np.searchsorted(at, stop_sample)) + 1
-        degs = degrees[nodes[:end]]
-        floor, worst = lst._keys[-1] if lst.is_full else (0, g.n)
-        sel = np.flatnonzero(degs >= -floor)
-        sel = sel[(degs[sel] > -floor) | (nodes[sel] <= worst)]
-        for j, node, deg, keep in zip(sel.tolist(), nodes[sel].tolist(),
-                                      degs[sel].tolist(), kept[sel].tolist()):
-            if keep:
-                lst.update(node, deg)
-                if stop_rule is not None and node in lst and stop_rule(lst):
-                    return StopDecision(rule, threshold, True, int(at[j]),
-                                        base + j + 1, lst)
-            else:
-                lst.observe(node, deg)
+        degs, lo = degrees[nodes[:end]], 0
+        while lo < end:
+            hi = min(end, lo + max(k, base + lo))
+            floor, worst = lst._keys[-1] if lst.is_full else (0, g.n)
+            sel = lo + np.flatnonzero(degs[lo:hi] >= -floor)
+            sel = sel[(degs[sel] > -floor) | (nodes[sel] <= worst)]
+            for j, node, deg, keep in zip(sel.tolist(), nodes[sel].tolist(),
+                                          degs[sel].tolist(), kept[sel].tolist()):
+                if keep:
+                    lst.update(node, deg)
+                    if stop_rule is not None and node in lst and stop_rule(lst):
+                        return StopDecision(rule, threshold, True, int(at[j]),
+                                            base + j + 1, lst)
+                else:
+                    lst.observe(node, deg)
+            lo = hi
         samples = int(at[end - 1])
         if samples == stop_sample:
             return StopDecision(rule, threshold, True, samples, base + end, lst)

@@ -11,21 +11,24 @@ moves, one block per array of move uniforms it is handed; _draws is the
 one place that draws them for it, as blocks of up to _BLOCK, each only
 when _walk asks, and a walk visits the same nodes at any block size.
 walk_until_hit uses _walk alone. A sample stream (_moves) walks its first
-_SCALAR steps with _walk, then draws superblocks of move uniforms and
-hands each to the segment kernel, _segments: it cuts the superblock into
-segments of _SEG steps, starts each one _WARM steps early from a guessed
-node, and steps all of them together in numpy with _walk's float
-arithmetic. Two walks that read the same uniforms meet once both jump at
-one step from nodes of one degree (a coupling under common random
-numbers), so a segment whose guessed walk stands on the exact node at its
-first step is exact from there on; a segment that does not is walked
-again by _walk, on its own uniforms, from the exact node. _segments
-reports a superblock in which too many segments failed, and _moves alone
-then hands the rest of the walk to _walk. _visits alone applies the
-sampling mode, as a keep mask per block. A block's nodes are _walk's list
-of ints or _segments' int64 array, so a stream that stops within its
-first _SCALAR steps converts none of them; the detector makes each an
-array and filters it with numpy.
+_SCALAR = 1024 steps with _walk, then hands superblocks of 16384 and then
+32768 move uniforms to the segment kernel, _segments: it cuts each into
+512 segments, starts each one _WARM steps early from a guessed node, and
+steps all of them together in numpy with _walk's float arithmetic, its
+pj and 1 - pj read from per-degree tables (_jumps) built once per stream.
+Two walks that read the same uniforms meet once both jump at one step
+from nodes of one degree (a coupling under common random numbers), so a
+segment whose guessed walk stands on the exact node at its first step is
+exact from there on; a segment that does not is walked again by _walk,
+on its own uniforms, from the exact node. _segments reports a superblock
+in which too many segments failed, and _moves alone then hands the rest
+of the walk to _walk. A first superblock costs about 3000 scalar steps,
+so streams of 1025 to about 4200 steps are slower than on _walk alone,
+and longer ones faster. _visits alone applies the sampling mode, as a
+keep mask per block. A block's nodes are _walk's list of ints or
+_segments' int64 array, so a stream that stops within its first _SCALAR
+steps converts none of them; the detector makes each an array and
+filters it with numpy.
 """
 
 from __future__ import annotations
@@ -176,11 +179,8 @@ def walk_until_hit(g: Graph, cfg: WalkConfig, start: int | None,
 
 
 def _jumps(g: Graph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """pj = alpha/(d + alpha) and 1 - pj for each degree d = 0, ..., g.d_max,
-    the floats _walk computes at a node of degree d: int + float and
-    float / float are the same IEEE operations in Python and numpy. At
-    alpha == 0 the entry of degree 0 is 0/0, nan, where no walk moves."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """pj = alpha/(d + alpha), _walk's float, and 1 - pj for d = 0..g.d_max."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan = 0/0 at d = alpha = 0
         pj = alpha / (np.arange(g.d_max + 1) + alpha)
     return pj, 1.0 - pj
 
@@ -188,11 +188,10 @@ def _jumps(g: Graph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 def _step(cur: np.ndarray, r: np.ndarray, g: Graph, neighbors: np.ndarray,
           jumps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """One step of every walk in cur with uniforms r: the arithmetic of
-    _walk's loop, which it must match bit for bit, with d read from
-    g.degrees and pj and 1 - pj from the _jumps tables. Both branches are
-    evaluated for every walk; the caller silences the nan and inf of the
-    branch a walk does not take, and take(mode="clip") keeps its index in
-    range."""
+    _walk's loop, bit for bit, on d from g.degrees and the _jumps tables.
+    Both branches are evaluated for every walk; the caller silences the
+    nan and inf of the branch a walk does not take, and take(mode="clip")
+    keeps its index in range."""
     d, lo = g.degrees.take(cur), g.offsets.take(cur)
     pj, qj = jumps[0].take(d), jumps[1].take(d)
     j = ((r - pj) / qj * d).astype(np.int64)
@@ -204,23 +203,21 @@ def _segments(g: Graph, alpha: float, start: int, u: np.ndarray,
               jumps: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, bool]:
     """The nodes that _walk visits from `start` on the move uniforms u, as
     an int64 array, and whether more than _MAX_FAILED of the segments
-    failed. The caller draws u and the _jumps tables and, on True, decides
-    where the walk goes.
+    failed. The caller draws u and jumps and, on True, decides where the
+    walk goes.
 
-    u is cut into at most _SEGMENTS segments of seg >= _WARM steps each:
-    32 steps in a 16384-step superblock, 64 in a 32768-step one. Segment i
-    covers the steps i*seg, ..., (i+1)*seg - 1 of u. Segment 0 starts at
-    `start`; segment i > 0 starts _WARM steps early at `start` as a guess,
-    on the last uniforms of segment i-1, and all segments step together
-    through _step, one numpy column per step: _WARM + seg columns in all.
-    Segment i is accepted when its guessed walk stands, before its first
-    step, on the node where segment i-1 ends; that node is exact, so the
-    whole segment is. A failed segment is walked again by _walk, on its own
-    uniforms, from that node. Each array has one entry per segment or per
-    step, none of size n. The tail of the last segment, past len(u), reads
-    padded uniforms of 0.5 and is dropped.
+    u is cut into at most _SEGMENTS segments of seg >= _WARM steps: 32 of
+    16384, 64 of 32768. Segment 0 starts at `start`; segment i > 0 starts
+    _WARM steps early at `start` as a guess, and all segments step together
+    through _step, in _WARM + seg numpy columns. Segment i is accepted when
+    its guessed walk stands, before its first step, on the node where
+    segment i-1 ends; that node is exact, so the whole segment is. A failed
+    segment is walked again by _walk, on its own uniforms, from that node.
+    Each array has one entry per segment or per step, none of size n. The
+    tail of the last segment, past len(u), reads padded uniforms of 0.5
+    and is dropped.
     """
-    alpha, seg = float(alpha), max(_WARM, -(-len(u) // _SEGMENTS))
+    seg = max(_WARM, -(-len(u) // _SEGMENTS))
     count = -(-len(u) // seg)
     padded = np.full(count * seg, 0.5)
     padded[:len(u)] = u
@@ -250,12 +247,11 @@ def _moves(g: Graph, alpha: float, rng: np.random.Generator, start: int,
            max_steps: int) -> Iterator[tuple[Union[list, np.ndarray], int]]:
     """The walk as blocks (nodes, base), as _walk gives it: _walk's lists
     for the first _SCALAR steps, then int64 arrays of superblocks through
-    _segments, _SUPER steps in the first and 2 * _SUPER in each later one,
-    and _walk's lists for the rest of the walk once a superblock has too
+    _segments, _SUPER steps and then 2 * _SUPER (the _jumps tables are
+    built before the first), and _walk's lists once a superblock has too
     many failed segments; _moves alone makes that switch. All of them read
     rng: _walk through _draws, _segments one superblock at a time, and
-    float64 random() output does not depend on how it is chunked. The
-    _jumps tables are built once, when the first superblock is drawn."""
+    float64 random() output does not depend on how it is chunked."""
     for nodes, base in _walk(g, alpha, _draws(rng, min(max_steps, _SCALAR)), start):
         yield nodes, base
     steps, cur, slow, size = base + len(nodes), nodes[-1], False, _SUPER

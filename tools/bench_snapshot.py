@@ -10,9 +10,19 @@ taking turns so that a slow spell of the host falls on all of them, and
 then once traced (`--trace 1`). The file holds the machine, the best value
 of each end-to-end metric (best as BENCHMARK.json's "better" says) next to
 every raw value, the ops each run timed, each run's calibration_ms, the
-per-layer metrics of the traced run, and startup_s: the best of 5 new
-processes that run `python -c "import degreewalk.cli"` on the checkout's
-src. The script then prints, metric by metric, the change against the
+per-layer metrics of the traced run, and three more figures:
+  startup_s       the best of 5 new processes that run
+                  `python -c "import degreewalk.cli"` on the checkout's src,
+                  each taken in turn with one of
+  numpy_import_s  the best of 5 that run `python -c "import numpy"`, so that
+                  the host's drift falls on both and their difference,
+                  own_startup_s, is degreewalk's own share;
+  tier1           the wall time of the tier-1 suite, run as CI runs it
+                  (`python -m pytest -q --continue-on-collection-errors
+                  -W error::RuntimeWarning --durations=10` in the checkout,
+                  its src on PYTHONPATH), its summary line and its ten
+                  slowest tests.
+The script then prints, metric by metric, the change against the
 highest-numbered BENCH file before it, with the BENCHMARK.json bound of
 each end-to-end metric. The BENCH files are kept at the root of the
 checkout that holds this script, whichever checkout's bench is run.
@@ -55,15 +65,34 @@ def git_source(root: Path) -> dict:
             "dirty": None if status is None else bool(status)}
 
 
-def startup_times(root: Path) -> list[float]:
-    """Wall seconds of 5 processes that import degreewalk.cli from root/src."""
+def startup_times(root: Path) -> dict[str, list[float]]:
+    """Wall seconds of 5 processes that import degreewalk.cli from root/src
+    and of 5 that import numpy alone, the two taking turns."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    times = []
+    times = {"startup_s": [], "numpy_import_s": []}
     for _ in range(5):
-        start = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "import degreewalk.cli"], env=env, check=True)
-        times.append(time.perf_counter() - start)
+        for name, module in (("numpy_import_s", "numpy"), ("startup_s", "degreewalk.cli")):
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True)
+            times[name].append(time.perf_counter() - start)
     return times
+
+
+def tier1(root: Path) -> dict:
+    """Wall seconds, summary line and ten slowest tests of root's tier-1
+    suite, run as CI runs it."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+            "-W", "error::RuntimeWarning", "--durations=10"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    slowest = [[float(m[1]), m[2], m[3]] for m in
+               (re.match(r"([\d.]+)s (call|setup|teardown)\s+(\S+)$", line) for line in lines)
+               if m]
+    return {"wall_s": wall, "exit_code": proc.returncode,
+            "summary": lines[-1].strip("= ") if lines else "", "slowest": slowest}
 
 
 def best(values: list[float], better: str) -> float:
@@ -81,8 +110,11 @@ def snapshot(root: Path, spec: dict) -> dict:
         for name in names:
             print(f"run {i + 1}/{RUNS}: {name}", file=sys.stderr, flush=True)
             raw[name].append(run_bench(root, spec["command"], name, seconds, 0))
-    startup = startup_times(root)
-    out["startup_s"] = {"best": min(startup), "values": startup}
+    for name, values in startup_times(root).items():
+        out[name] = {"best": min(values), "values": values}
+    out["own_startup_s"] = out["startup_s"]["best"] - out["numpy_import_s"]["best"]
+    print("tier-1 suite", file=sys.stderr, flush=True)
+    out["tier1"] = tier1(root)
     for name in names:
         print(f"traced: {name}", file=sys.stderr, flush=True)
         meta, result = run_bench(root, spec["command"], name, seconds, 1)
@@ -115,8 +147,20 @@ def number(path: Path) -> int:
 def diff(old: dict, new: dict, bounds: dict) -> list[str]:
     """One line per metric: old best, new best, relative change, and for an
     end-to-end metric its bound and whether the change is past it."""
-    a, b = old.get("startup_s", {}).get("best", float("nan")), new["startup_s"]["best"]
-    lines = [f"startup_s (best of 5)  {a:12.6g} -> {b:12.6g}  {(b - a) / a:+8.1%}"]
+    nan = float("nan")
+    lines = []
+    for name, a, b in (
+            ("startup_s (best of 5)", old.get("startup_s", {}).get("best", nan),
+             new["startup_s"]["best"]),
+            ("numpy_import_s (best of 5)", old.get("numpy_import_s", {}).get("best", nan),
+             new["numpy_import_s"]["best"]),
+            ("own_startup_s", old.get("own_startup_s", nan), new["own_startup_s"]),
+            ("tier1 wall_s", old.get("tier1", {}).get("wall_s", nan), new["tier1"]["wall_s"])):
+        lines.append(f"{name:26s} {a:12.6g} -> {b:12.6g}  {(b - a) / a:+8.1%}")
+    before = {test: t for t, _, test in old.get("tier1", {}).get("slowest", [])}
+    for t, phase, test in new["tier1"]["slowest"]:
+        a = before.get(test, nan)
+        lines.append(f"  {phase:8s} {test:70s} {a:8.2f} -> {t:8.2f} s")
     for name, wl in new["workloads"].items():
         before = old["workloads"].get(name)
         if before is None:
