@@ -209,12 +209,12 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
     rule 2's coverage can only have fallen, as entries start at 0 hits and
     evictions drop counters.
 
-    Each walk block is cut at the sample that exhausts the budget, and
-    filtered in pieces of max(k, raw steps so far) steps: only the steps
-    whose (-degree, node) key is at or before the worst listed key at the
-    piece's start reach a full list. Every member's key is, and the worst
-    key only improves, so a skipped step is a non-member that cannot
-    enter: it would change nothing.
+    Each walk block is cut at the sample that exhausts the budget. Once the
+    list is full, only the steps whose (-degree, node) key is at or before
+    the worst listed key at the block's start reach the list: a higher
+    degree, or the worst degree and a node id at most the worst node's.
+    Every member's key is, and the worst key only improves, so a skipped
+    step is a non-member that cannot enter: it would change nothing.
     """
     if k > g.n:
         raise ValueError(f"k={k} exceeds node count n={g.n}")
@@ -231,22 +231,19 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
         end = len(nodes)
         if stop_sample is not None and at[-1] >= stop_sample:
             end = int(np.searchsorted(at, stop_sample)) + 1
-        degs, lo = degrees[nodes[:end]], 0
-        while lo < end:
-            hi = min(end, lo + max(k, base + lo))
-            floor, worst = lst._keys[-1] if lst.is_full else (0, g.n)
-            sel = lo + np.flatnonzero(degs[lo:hi] >= -floor)
-            sel = sel[(degs[sel] > -floor) | (nodes[sel] <= worst)]
-            for j, node, deg, keep in zip(sel.tolist(), nodes[sel].tolist(),
-                                          degs[sel].tolist(), kept[sel].tolist()):
-                if keep:
-                    lst.update(node, deg)
-                    if stop_rule is not None and node in lst and stop_rule(lst):
-                        return StopDecision(rule, threshold, True, int(at[j]),
-                                            base + j + 1, lst)
-                else:
-                    lst.observe(node, deg)
-            lo = hi
+        degs = degrees[nodes[:end]]
+        neg, worst = lst._keys[-1] if lst.is_full else (0, g.n)  # the worst key
+        sel = np.flatnonzero(degs >= -neg)
+        sel = sel[(degs[sel] > -neg) | (nodes[sel] <= worst)]
+        for j, node, deg, keep in zip(sel.tolist(), nodes[sel].tolist(),
+                                      degs[sel].tolist(), kept[sel].tolist()):
+            if keep:
+                lst.update(node, deg)
+                if stop_rule is not None and node in lst and stop_rule(lst):
+                    return StopDecision(rule, threshold, True, int(at[j]),
+                                        base + j + 1, lst)
+            else:
+                lst.observe(node, deg)
         samples = int(at[end - 1])
         if samples == stop_sample:
             return StopDecision(rule, threshold, True, samples, base + end, lst)
