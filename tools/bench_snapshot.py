@@ -10,13 +10,13 @@ taking turns so that a slow spell of the host falls on all of them, and
 then once traced (`--trace 1`). The file holds the machine, the best value
 of each end-to-end metric (best as BENCHMARK.json's "better" says) next to
 every raw value, the ops each run timed, each run's calibration_ms, the
-per-layer metrics of the traced run, and three more figures:
-  startup_s       the best of 5 new processes that run
+per-layer metrics of the traced run, and four more figures:
+  startup_s       the best of 9 new processes that run
                   `python -c "import degreewalk.cli"` on the checkout's src,
-                  each taken in turn with one of
-  numpy_import_s  the best of 5 that run `python -c "import numpy"`, so that
-                  the host's drift falls on both and their difference,
-                  own_startup_s, is degreewalk's own share;
+                  each taken right after one of
+  numpy_import_s  the best of 9 that run `python -c "import numpy"`;
+  own_startup_s   the median of the 9 paired differences, degreewalk's own
+                  share, which the host's drift between snapshots leaves out;
   tier1           the wall time of the tier-1 suite, run as CI runs it
                   (`python -m pytest -q --continue-on-collection-errors
                   -W error::RuntimeWarning --durations=10` in the checkout,
@@ -34,6 +34,7 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -41,6 +42,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 RUNS = 3  # untraced runs per workload; the best of them is recorded
+STARTUP_PAIRS = 9  # numpy-only and degreewalk.cli start-up processes, in turn
 SEED = 1
 
 
@@ -66,11 +68,11 @@ def git_source(root: Path) -> dict:
 
 
 def startup_times(root: Path) -> dict[str, list[float]]:
-    """Wall seconds of 5 processes that import degreewalk.cli from root/src
-    and of 5 that import numpy alone, the two taking turns."""
+    """Wall seconds of processes that import numpy alone and of processes
+    that import degreewalk.cli from root/src, the two taking turns."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     times = {"startup_s": [], "numpy_import_s": []}
-    for _ in range(5):
+    for _ in range(STARTUP_PAIRS):
         for name, module in (("numpy_import_s", "numpy"), ("startup_s", "degreewalk.cli")):
             start = time.perf_counter()
             subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True)
@@ -112,7 +114,8 @@ def snapshot(root: Path, spec: dict) -> dict:
             raw[name].append(run_bench(root, spec["command"], name, seconds, 0))
     for name, values in startup_times(root).items():
         out[name] = {"best": min(values), "values": values}
-    out["own_startup_s"] = out["startup_s"]["best"] - out["numpy_import_s"]["best"]
+    out["own_startup_s"] = statistics.median(
+        a - b for a, b in zip(out["startup_s"]["values"], out["numpy_import_s"]["values"]))
     print("tier-1 suite", file=sys.stderr, flush=True)
     out["tier1"] = tier1(root)
     for name in names:
@@ -150,9 +153,9 @@ def diff(old: dict, new: dict, bounds: dict) -> list[str]:
     nan = float("nan")
     lines = []
     for name, a, b in (
-            ("startup_s (best of 5)", old.get("startup_s", {}).get("best", nan),
+            ("startup_s (best)", old.get("startup_s", {}).get("best", nan),
              new["startup_s"]["best"]),
-            ("numpy_import_s (best of 5)", old.get("numpy_import_s", {}).get("best", nan),
+            ("numpy_import_s (best)", old.get("numpy_import_s", {}).get("best", nan),
              new["numpy_import_s"]["best"]),
             ("own_startup_s", old.get("own_startup_s", nan), new["own_startup_s"]),
             ("tier1 wall_s", old.get("tier1", {}).get("wall_s", nan), new["tier1"]["wall_s"])):
