@@ -219,9 +219,9 @@ def _segments(g: Graph, alpha: float, start: int, u: np.ndarray,
     """
     seg = max(_WARM, -(-len(u) // _SEGMENTS))
     count = -(-len(u) // seg)
-    padded = np.full(count * seg, 0.5)
-    padded[:len(u)] = u
-    rows = padded.reshape(count, seg)  # rows[i]: the uniforms of segment i
+    pad = -len(u) % seg  # uniforms of 0.5 that fill the last segment
+    # rows[i]: the uniforms of segment i, a view of u when none are padded
+    rows = (np.concatenate((u, np.full(pad, 0.5))) if pad else u).reshape(count, seg)
     cols = rows.T.copy()  # cols[t, i]: step t of segment i
     nodes = np.empty((count, seg), dtype=np.int64)
     cur = np.full(count, start, dtype=np.int64)
