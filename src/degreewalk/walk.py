@@ -181,6 +181,7 @@ def walk_until_hit(g: Graph, cfg: WalkConfig, start: int | None,
 
 def _jumps(g: Graph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """pj = alpha/(d + alpha), _walk's float, and 1 - pj for d = 0..g.d_max."""
+    alpha = float(alpha)  # as _walk takes it: an int alpha may not fit int64
     with np.errstate(divide="ignore", invalid="ignore"):  # nan = 0/0 at d = alpha = 0
         pj = alpha / (np.arange(g.d_max + 1) + alpha)
     return pj, 1.0 - pj

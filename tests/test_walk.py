@@ -472,6 +472,14 @@ class TestSegmentKernel:
         assert 0 in want and (alpha == 0.0 or max(want) >= 44)
         assert segments(g, alpha, 43, u)[0].tolist() == want
 
+    def test_integer_alpha_walks_as_its_float(self, pa2000):
+        """_walk and the _jumps tables both take float(alpha), also for an
+        int that does not fit int64."""
+        for alpha in (2, 10 ** 30):
+            streams = [[tuple(s) for s in sample_stream(pa2000, WalkConfig(
+                alpha=a, seed=1, max_steps=20_000))] for a in (alpha, float(alpha))]
+            assert streams[0] == streams[1]
+
     def test_samples_hold_python_ints(self, pa2000):
         cfg = WalkConfig(alpha=2.0, seed=1, max_steps=20_000)
         samples = list(sample_stream(pa2000, cfg))
