@@ -22,10 +22,10 @@ segment whose guessed walk stands on the exact node at its first step is
 exact from there on; a segment that does not is walked again by _walk,
 on its own uniforms, from the exact node. _segments reports a superblock
 in which too many segments failed, and _moves alone then hands the rest
-of the walk to _walk. A first superblock costs about 2500 scalar steps:
-streams of 1025 to about 4200 steps are slower than on _walk alone and
-longer ones faster (1100 steps on a 1e5-node PA tree at alpha = 2: 0.92
-against 0.39 ms). _visits alone applies the sampling mode, as a keep
+of the walk to _walk. A first superblock costs about 4000 scalar steps:
+a stream stopped after 1025 to 4096 steps is slower than on _walk alone
+and a longer one faster (1100 steps on a 1e5-node PA tree at alpha = 2:
+2.4 against 0.6 ms). _visits alone applies the sampling mode, as a keep
 mask per block. A block's nodes are _walk's list of ints or _segments'
 int64 array, so a stream that stops within its first _SCALAR steps
 converts none of them; the detector makes each an array and filters it
