@@ -8,7 +8,7 @@ from .analytics import (EvtPrediction, StationaryDist, UnreachableTargetError,
                         expected_return_time_max, hitting_time_asymptotic,
                         hitting_time_exact, jump_probability,
                         poisson_error_bound, return_time_from_constants,
-                        stationary, transition_matrix)
+                        stationary)
 from .detector import (CandidateList, StopDecision, coverage_score,
                        detect_fixed_m, detect_fixed_m_decision,
                        detect_with_rule, error_score, min_hit_error_score,

@@ -15,9 +15,8 @@ import numpy as np
 
 from .graph import Graph, exact_top_k
 from .generators import ParetoTail
+from .walk import check_alpha
 
-# most nodes transition_matrix accepts: it builds an n x n array
-_DENSE_CAP = 2000
 _CG_RTOL = 1e-12  # hitting_time_exact's CG stops at residual norm _CG_RTOL * |w|
 _CG_SLACK = 100  # iterations allowed beyond the n - 1 of exact arithmetic
 
@@ -35,19 +34,13 @@ class StationaryDist:
         return float(self.probs.max())
 
 
-def _check_alpha(alpha: float) -> None:
-    """Reject a negative, NaN or infinite jump weight."""
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-
-
 def stationary(g: Graph, alpha: float) -> StationaryDist:
     """Stationary distribution of the walk: probs[i] = (d_i+alpha)/(2|E|+n*alpha).
 
     Requires alpha > 0, or alpha == 0 on a graph without isolated nodes
     (otherwise the walk's long-run distribution is undefined).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if alpha == 0.0 and (g.n == 0 or g.degrees.min() == 0):
         raise ValueError("alpha=0 with an isolated node: stationary law undefined")
     denom = 2.0 * g.m_edges + g.n * alpha
@@ -56,7 +49,7 @@ def stationary(g: Graph, alpha: float) -> StationaryDist:
 
 def jump_probability(g: Graph, alpha: float) -> float:
     """Steady-state probability that a step is a jump: n*alpha/(2|E|+n*alpha)."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if alpha == 0.0:
         return 0.0
     return g.n * alpha / (2.0 * g.m_edges + g.n * alpha)
@@ -77,22 +70,6 @@ def return_time_from_constants(n: float, avg_degree: float, alpha: float,
     return (n * avg_degree + n * alpha) / (d_max + alpha)
 
 
-def transition_matrix(g: Graph, alpha: float) -> np.ndarray:
-    """Dense one-step kernel: p_ij = (alpha/n + [i~j]) / (d_i + alpha)."""
-    _check_alpha(alpha)
-    if g.n > _DENSE_CAP:
-        raise ValueError(
-            f"n={g.n} exceeds dense cap {_DENSE_CAP}; use Monte Carlo instead")
-    if alpha == 0.0 and g.degrees.min() == 0:
-        raise ValueError("alpha=0 with an isolated node: kernel undefined")
-    n = g.n
-    P = np.full((n, n), alpha / n)
-    rows = np.repeat(np.arange(n), g.degrees)
-    P[rows, g.neighbors] += 1.0
-    P /= (g.degrees + alpha)[:, None]
-    return P
-
-
 def hitting_time_exact(g: Graph, alpha: float, target: int,
                        nu: int | np.ndarray | None = None) -> float:
     """Exact expected hitting time to `target` by conjugate gradients, any n.
@@ -106,9 +83,8 @@ def hitting_time_exact(g: Graph, alpha: float, target: int,
         start node, or a length-n probability vector. Mass on the target
         contributes hitting time 0.
     """
-    _check_alpha(alpha)
-    if not 0 <= target < g.n:
-        raise IndexError(f"target {target} out of range [0, {g.n})")
+    check_alpha(alpha)
+    target = g.check_node(target, "target")
     src = np.repeat(np.arange(g.n), g.degrees)
     if alpha == 0.0:  # seen: the nodes that reach the target along edges
         seen, size = np.arange(g.n) == target, 0
@@ -149,15 +125,12 @@ def hitting_time_exact(g: Graph, alpha: float, target: int,
 
     if nu is None:
         return float(h.sum() / g.n)
-    if np.isscalar(nu) or isinstance(nu, (int, np.integer)):
-        start = int(nu)
-        if not 0 <= start < g.n:
-            raise IndexError(f"start node {start} out of range [0, {g.n})")
-        return float(h[start])
+    if np.isscalar(nu):
+        return float(h[g.check_node(nu, "start node")])
     nu = np.asarray(nu, dtype=np.float64)
     if nu.shape != (g.n,):
         raise ValueError(f"nu must have length n={g.n}")
-    if abs(nu.sum() - 1.0) > 1e-9 or nu.min() < 0.0:
+    if not (abs(nu.sum() - 1.0) <= 1e-9 and nu.min() >= 0.0):
         raise ValueError("nu must be a probability vector")
     return float(nu @ h)
 
@@ -247,7 +220,7 @@ def poisson_error_bound(pis, m: int) -> float:
     pis = np.asarray(pis, dtype=np.float64)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if np.any(pis <= 0.0) or np.any(pis >= 1.0):
+    if not np.all((pis > 0.0) & (pis < 1.0)):
         raise ValueError("stationary probabilities must lie strictly in (0, 1)")
     return float(2.0 * (1.0 - np.prod(1.0 - np.exp(-float(m) * pis))))
 

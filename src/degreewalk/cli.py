@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import __version__, analytics, detector, experiments, generators
-from .graph import Graph, exact_top_k, load_edge_list
+from .graph import Graph, check_k, exact_top_k, load_edge_list
 from .walk import EveryStep, Thinned, WalkConfig
 
 
@@ -112,8 +112,9 @@ def _cmd_ingest(args) -> int:
 
 def _rule_threshold(args, m):
     """The value of the threshold flag for `args.rule`; UsageError if
-    missing or extra, ValueError if out of the rule's range for `args.k`
-    or if the sampling flags leave no step to sample."""
+    missing or extra, ValueError if `args.k` is below 1, if the threshold
+    is out of the rule's range for it, or if the sampling flags leave no
+    step to sample."""
     rule, a_bar, b_bar = args.rule, args.a_bar, args.b_bar
     given = {"--m": m, "--a-bar": a_bar, "--b-bar": b_bar}
     needed = {"fixed": "--m", "r0": "--a-bar", "r1": "--a-bar", "r2": "--b-bar"}[rule]
@@ -122,6 +123,7 @@ def _rule_threshold(args, m):
             raise UsageError(f"rule {rule} requires {flag}")
         if flag != needed and value is not None:
             raise UsageError(f"rule {rule} does not take {flag}")
+    check_k(args.k)
     if rule != "fixed":
         detector.check_rule_threshold(rule, given[needed], args.k)
     detector.check_sampling(_walk_mode(args), args.max_steps)

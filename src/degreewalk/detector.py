@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_k
 from .walk import Mode, Thinned, WalkConfig, _visits
 
 
@@ -49,9 +49,7 @@ class CandidateList:
     __slots__ = ("k", "_keys", "_hits", "_factors")
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
+        self.k = check_k(k)
         self._keys: list[tuple[int, int]] = []  # members' (-degree, node), best first
         self._hits: dict[int, int] = {}  # members' counters, in order of entry
         self._factors: dict[int, float] = {}  # members' 1 - exp(-hits), likewise
@@ -146,10 +144,11 @@ def stopping_rule_0(lst: CandidateList, a_bar: float) -> bool:
 
 
 def check_rule_threshold(rule: str, threshold: float, k: int) -> None:
-    """ValueError naming the threshold unless it suits `rule`: a_bar (r0,
-    r1) must lie in (0, 2), as the error scores lie in [0, 2], and b_bar
-    (r2) must be finite and at most k, as coverage sums k terms of at
-    most 1."""
+    """check_k(k), then ValueError naming the threshold unless it suits
+    `rule`: a_bar (r0, r1) must lie in (0, 2), as the error scores lie in
+    [0, 2], and b_bar (r2) must be finite and at most k, as coverage sums
+    k terms of at most 1."""
+    check_k(k)
     if rule == "r2":
         if not math.isfinite(threshold):
             raise ValueError(f"b_bar must be finite, got {threshold}")
@@ -170,8 +169,6 @@ def check_sampling(mode: Mode, max_steps: int) -> None:
 
 def rule1_threshold(k: int, a_bar: float) -> int:
     """Smallest natural x with (1 - exp(-x))^k >= 1 - a_bar/2."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     check_rule_threshold("r1", a_bar, k)
     goal = 1.0 - a_bar / 2.0
     x = 1
@@ -216,10 +213,8 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
     Every member's key is, and the worst key only improves, so a skipped
     step is a non-member that cannot enter: it would change nothing.
     """
-    if k > g.n:
-        raise ValueError(f"k={k} exceeds node count n={g.n}")
+    lst = CandidateList(check_k(k, g.n))
     check_sampling(cfg.mode, cfg.max_steps)
-    lst = CandidateList(k)
     if stop_rule is not None and stop_rule(lst):
         return StopDecision(rule, threshold, True, 0, 0, lst)
     degrees = g.degrees

@@ -14,8 +14,13 @@ import numpy as np
 
 from .analytics import expected_correct_count, stationary
 from .detector import detect_with_rule
-from .graph import Graph, exact_top_k
+from .graph import Graph, check_k, exact_top_k
 from .walk import WalkConfig, sample_stream, walk_until_hit
+
+
+def _check_runs(runs: int) -> None:
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
 
 
 @dataclass(frozen=True)
@@ -25,8 +30,7 @@ class HittingTimePlan:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        _check_runs(self.runs)
 
 
 @dataclass(frozen=True)
@@ -38,10 +42,8 @@ class AccuracyCurvePlan:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        _check_runs(self.runs)
+        check_k(self.k)
         grid = tuple(self.m_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"m_grid must be strictly increasing, got {grid}")
@@ -60,10 +62,8 @@ class StoppingEvalPlan:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        _check_runs(self.runs)
+        check_k(self.k)
 
 
 # -- hitting times ----------------------------------------------------------

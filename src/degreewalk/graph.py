@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import re
 import warnings
 import zipfile
@@ -149,14 +150,19 @@ class Graph:
 
     # -- queries -----------------------------------------------------------
 
-    def degree(self, i: int) -> int:
+    def check_node(self, i: int, what: str = "node") -> int:
+        """i as an int: TypeError unless it is an integer, IndexError
+        naming it as `what` unless it lies in [0, n)."""
+        i = operator.index(i)
         if not 0 <= i < self.n:
-            raise IndexError(f"node {i} out of range [0, {self.n})")
-        return int(self.degrees[i])
+            raise IndexError(f"{what} {i} out of range [0, {self.n})")
+        return i
+
+    def degree(self, i: int) -> int:
+        return int(self.degrees[self.check_node(i)])
 
     def neighbors_of(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.n:
-            raise IndexError(f"node {i} out of range [0, {self.n})")
+        i = self.check_node(i)
         return self.neighbors[self.offsets[i]:self.offsets[i + 1]]
 
     def average_degree(self) -> float:
@@ -390,13 +396,21 @@ def load_edge_list(path) -> Graph:
         return ingest_edge_list(fh)
 
 
+def check_k(k: int, n: int | None = None) -> int:
+    """k as an int: TypeError unless it is an integer, ValueError unless
+    k >= 1 and, when n is given, k <= n."""
+    k = operator.index(k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if n is not None and k > n:
+        raise ValueError(f"k={k} exceeds node count n={n}")
+    return k
+
+
 def exact_top_k(g: Graph, k: int) -> list[DegreeRecord]:
     """Deterministic top-k nodes by degree, ties broken by ascending id,
     from a size-k partial selection."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > g.n:
-        raise ValueError(f"k={k} exceeds node count n={g.n}")
+    k = check_k(k, g.n)
     # composite key: larger degree first, then smaller id; strictly ordered
     key = g.degrees.astype(np.int64) * np.int64(g.n) - np.arange(g.n, dtype=np.int64)
     cand = np.argpartition(-key, k - 1)[:k] if k < g.n else np.arange(g.n)

@@ -53,6 +53,12 @@ class WalkStuckError(RuntimeError):
     """Walk cannot leave a zero-degree node when the jump rate is zero."""
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a negative, NaN or infinite jump rate."""
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+
+
 @dataclass(frozen=True)
 class EveryStep:
     """Emit every visited node."""
@@ -83,8 +89,7 @@ class WalkConfig:
     mode: Mode = EveryStep()
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < np.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        check_alpha(self.alpha)
         if not isinstance(self.max_steps, (int, np.integer)) or self.max_steps < 1:
             raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
@@ -165,12 +170,9 @@ def walk_until_hit(g: Graph, cfg: WalkConfig, start: int | None,
     already is the target, and None when max_steps elapse without a hit
     (the target may be unreachable when alpha == 0).
     """
-    if not 0 <= target < g.n:
-        raise IndexError(f"target {target} out of range [0, {g.n})")
+    target = g.check_node(target, "target")
     rng = np.random.default_rng(cfg.seed)
-    s0 = int(rng.integers(g.n)) if start is None else start
-    if not 0 <= s0 < g.n:
-        raise IndexError(f"start node {s0} out of range [0, {g.n})")
+    s0 = int(rng.integers(g.n)) if start is None else g.check_node(start, "start node")
     if s0 == target:
         return 0
     for nodes, base in _walk(g, cfg.alpha, _draws(rng, cfg.max_steps), s0, stop=target):
@@ -275,8 +277,7 @@ def _visits(g: Graph, cfg: WalkConfig,
     start_ss, move_ss, keep_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     if start is None:
         start = int(np.random.default_rng(start_ss).integers(g.n))
-    if not 0 <= start < g.n:
-        raise IndexError(f"start node {start} out of range [0, {g.n})")
+    start = g.check_node(start, "start node")
     mode = cfg.mode
     keep_rng = np.random.default_rng(keep_ss)
     for nodes, base in _moves(g, cfg.alpha, np.random.default_rng(move_ss),

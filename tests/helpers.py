@@ -8,11 +8,13 @@ from dataclasses import replace
 import numpy as np
 
 from degreewalk import DegreeRecord, Graph
-from degreewalk.analytics import transition_matrix
 from degreewalk.detector import (rule1_threshold, stopping_rule_0,
                                  stopping_rule_1, stopping_rule_2)
 from degreewalk.walk import (EveryStep, Thinned, WalkStuckError, _draws, _walk,
-                             sample_stream)
+                             check_alpha, sample_stream)
+
+# most nodes transition_matrix accepts: it builds an n x n array
+_DENSE_CAP = 2000
 
 
 def check_graph_invariants(g: Graph) -> None:
@@ -201,6 +203,22 @@ def shared_rng_hitting_times(g: Graph, alpha: float, target: int,
                 steps = base + len(nodes)
         times.append(steps)
     return np.array(times, dtype=np.float64)
+
+
+def transition_matrix(g: Graph, alpha: float) -> np.ndarray:
+    """Dense one-step kernel: p_ij = (alpha/n + [i~j]) / (d_i + alpha)."""
+    check_alpha(alpha)
+    if g.n > _DENSE_CAP:
+        raise ValueError(
+            f"n={g.n} exceeds dense cap {_DENSE_CAP}; use Monte Carlo instead")
+    if alpha == 0.0 and g.degrees.min() == 0:
+        raise ValueError("alpha=0 with an isolated node: kernel undefined")
+    n = g.n
+    P = np.full((n, n), alpha / n)
+    rows = np.repeat(np.arange(n), g.degrees)
+    P[rows, g.neighbors] += 1.0
+    P /= (g.degrees + alpha)[:, None]
+    return P
 
 
 def hitting_time_dense(g: Graph, alpha: float, target: int, nu=None) -> float:

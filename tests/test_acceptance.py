@@ -16,8 +16,7 @@ import pytest
 import degreewalk as dw
 from degreewalk.analytics import (evt_predict, expected_return_time_max,
                                   hitting_time_asymptotic, hitting_time_exact,
-                                  return_time_from_constants, stationary,
-                                  transition_matrix)
+                                  return_time_from_constants, stationary)
 from degreewalk.detector import (CandidateList, detect_fixed_m, error_score,
                                  min_hit_error_score)
 from degreewalk.experiments import (AccuracyCurvePlan, HittingTimePlan,
@@ -27,7 +26,7 @@ from degreewalk.experiments import (AccuracyCurvePlan, HittingTimePlan,
 from degreewalk.walk import EveryStep, Thinned, WalkConfig, sample_stream
 
 from helpers import (random_connected_graph, shared_rng_hitting_times,
-                     star_graph)
+                     star_graph, transition_matrix)
 
 PA_TAIL = dw.ParetoTail(gamma=2.5, c=3.7, x_prime=3.7 ** 0.4)
 UK_TAIL = dw.ParetoTail(gamma=1.7, c=90.0, x_prime=90.0 ** (1 / 1.7))

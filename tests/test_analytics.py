@@ -11,11 +11,10 @@ from degreewalk.analytics import (UnreachableTargetError, evt_predict,
                                   expected_return_time_max,
                                   hitting_time_asymptotic, hitting_time_exact,
                                   jump_probability, poisson_error_bound,
-                                  return_time_from_constants, stationary,
-                                  transition_matrix)
+                                  return_time_from_constants, stationary)
 
 from helpers import (hitting_time_dense, random_connected_graph,
-                     shared_rng_hitting_times, star_graph)
+                     shared_rng_hitting_times, star_graph, transition_matrix)
 
 PA_TAIL = dw.ParetoTail(gamma=2.5, c=3.7, x_prime=3.7 ** 0.4)
 
@@ -183,6 +182,10 @@ class TestHittingTimeExact:
             hitting_time_exact(star4, 1.0, 0, nu=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             hitting_time_exact(star4, 1.0, 0, nu=np.array([0.9, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="probability vector"):
+            hitting_time_exact(star4, 1.0, 0, nu=np.array([np.nan, 0.5, 0.5, 0.0]))
+        with pytest.raises(TypeError):
+            hitting_time_exact(star4, 1.0, 0, nu=2.7)
 
     @pytest.mark.parametrize("target, nu, name", [
         (4, None, "target 4"), (-1, None, "target -1"),
@@ -309,6 +312,8 @@ class TestPoissonBound:
             poisson_error_bound([0.0, 0.1], 10)
         with pytest.raises(ValueError):
             poisson_error_bound([0.1], -1)
+        with pytest.raises(ValueError, match="strictly in"):
+            poisson_error_bound([0.1, np.nan], 5)
 
 
 class TestExpectedCorrectCount:

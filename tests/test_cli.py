@@ -102,15 +102,23 @@ class TestExitCodes:
          "transient"),
         (["--rule", "r2", "--b-bar", "1", "--transient", "50", "--max-steps", "50"],
          "transient"),
+        (["--rule", "r2", "--b-bar", "1", "--k", "0"], "k must be >= 1"),
     ])
     def test_bad_threshold_reported_before_graph_is_read(self, command, flags,
                                                          name, capsys):
-        """A threshold out of its rule's range for k = 1, or a transient that
-        leaves no raw step to sample, exits 2 naming it, even when the graph
-        file does not exist."""
+        """A threshold out of its rule's range for k = 1, a k below 1, or a
+        transient that leaves no raw step to sample, exits 2 naming it, even
+        when the graph file does not exist."""
         assert main(command + ["/nonexistent/graph.txt", "--k", "1"] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err and "graph.txt" not in err
+
+    def test_bad_k_reported_before_graph_is_read(self, capsys):
+        """The fixed rule takes no threshold, yet --k 0 is reported first."""
+        assert main(["detect", "/nonexistent/graph.txt", "--rule", "fixed",
+                     "--m", "7", "--k", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: k must be >= 1") and "graph.txt" not in err
 
     def test_malformed_edge_list(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

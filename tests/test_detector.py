@@ -13,7 +13,9 @@ from degreewalk.detector import (CandidateList, coverage_score,
                                  min_hit_error_score, rule1_threshold,
                                  stopping_rule_0, stopping_rule_1,
                                  stopping_rule_2)
-from degreewalk.walk import EveryStep, Thinned, WalkConfig, _visits, sample_stream
+from degreewalk.analytics import hitting_time_exact
+from degreewalk.walk import (EveryStep, Thinned, WalkConfig, _visits, sample_stream,
+                             walk_until_hit)
 
 from helpers import random_connected_graph, reference_decision
 
@@ -147,6 +149,8 @@ class TestCandidateList:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             CandidateList(0)
+        with pytest.raises(TypeError):
+            CandidateList(2.5)
 
 
 class TestScores:
@@ -391,6 +395,20 @@ class TestDetection:
             detect_with_rule(star4, cfg, 5, "r2", 1.0)
         with pytest.raises(ValueError):
             detect_with_rule(star4, cfg, 2, "bogus", 1.0)
+        with pytest.raises(TypeError):
+            detect_fixed_m(star4, cfg, 2.5, 10)
+
+    def test_numpy_integers_act_as_ints(self, star4):
+        """np.int64 node ids and k give the results of the same ints."""
+        cfg = WalkConfig(alpha=1.0, seed=3, max_steps=200)
+
+        def results(i, k):
+            return (star4.degree(i), star4.neighbors_of(i).tolist(),
+                    walk_until_hit(star4, cfg, i, 0), list(sample_stream(star4, cfg, i)),
+                    hitting_time_exact(star4, 1.0, 0, nu=i), dw.exact_top_k(star4, k),
+                    detect_fixed_m(star4, cfg, k, 50).entries())
+
+        assert results(np.int64(1), np.int64(2)) == results(1, 2)
 
     @pytest.mark.parametrize("rule, threshold, name", [
         ("r0", float("nan"), "a_bar"), ("r0", float("inf"), "a_bar"),

@@ -88,6 +88,8 @@ class TestAccuracyCurve:
             AccuracyCurvePlan(walk=cfg, k=1, m_grid=(), runs=10)
         with pytest.raises(ValueError):
             AccuracyCurvePlan(walk=cfg, k=1, m_grid=(1, 2), runs=0)
+        with pytest.raises(TypeError):
+            AccuracyCurvePlan(walk=cfg, k=2.5, m_grid=(1, 2), runs=10)
         plan = AccuracyCurvePlan(walk=cfg, k=9, m_grid=(1,), runs=1)
         with pytest.raises(ValueError):
             run_accuracy_curve(star4, plan)

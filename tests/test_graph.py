@@ -262,6 +262,11 @@ class TestDegree:
         with pytest.raises(IndexError, match=rf"node {i} out of range \[0, 4\)"):
             star4.neighbors_of(i)
 
+    @pytest.mark.parametrize("query", ["degree", "neighbors_of"])
+    def test_non_integer_node_rejected(self, star4, query):
+        with pytest.raises(TypeError):
+            getattr(star4, query)(1.5)
+
 
 class TestBinaryCache:
     def test_round_trip_exact(self, tmp_path):

@@ -4,14 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import degreewalk as dw
-from degreewalk.analytics import transition_matrix
 from degreewalk import walk as walk_mod
 from degreewalk.walk import (EveryStep, Thinned, WalkConfig, WalkStuckError, _draws,
                              _jumps, _moves, _segments, _walk, sample_stream,
                              walk_until_hit)
 
 from helpers import (random_connected_graph, reference_hit, reference_stream,
-                     shared_rng_hitting_times, walk_reference)
+                     shared_rng_hitting_times, transition_matrix, walk_reference)
 
 
 class TestStep:

@@ -10,7 +10,7 @@ taking turns so that a slow spell of the host falls on all of them, and
 then once traced (`--trace 1`). The file holds the machine, the best value
 of each end-to-end metric (best as BENCHMARK.json's "better" says) next to
 every raw value, the ops each run timed, each run's calibration_ms, the
-per-layer metrics of the traced run, and four more figures:
+per-layer metrics of the traced run, and five more figures:
   startup_s       the best of 9 new processes that run
                   `python -c "import degreewalk.cli"` on the checkout's src,
                   each taken right after one of
@@ -21,7 +21,9 @@ per-layer metrics of the traced run, and four more figures:
                   (`python -m pytest -q --continue-on-collection-errors
                   -W error::RuntimeWarning --durations=10` in the checkout,
                   its src on PYTHONPATH), its summary line and its ten
-                  slowest tests.
+                  slowest tests;
+  src_lines       the lines of the checkout's src/degreewalk/*.py, as
+                  `wc -l` counts them.
 The script then prints, metric by metric, the change against the
 highest-numbered BENCH file before it, with the BENCHMARK.json bound of
 each end-to-end metric. The BENCH files are kept at the root of the
@@ -80,6 +82,11 @@ def startup_times(root: Path) -> dict[str, list[float]]:
     return times
 
 
+def src_lines(root: Path) -> int:
+    """Newlines in root's src/degreewalk/*.py: the total of `wc -l`."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "degreewalk").glob("*.py"))
+
+
 def tier1(root: Path) -> dict:
     """Wall seconds, summary line and ten slowest tests of root's tier-1
     suite, run as CI runs it."""
@@ -105,8 +112,9 @@ def snapshot(root: Path, spec: dict) -> dict:
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     names = [w["name"] for w in spec["workloads"]]
-    out = {"source": git_source(root), "command": spec["command"], "seed": SEED,
-           "seconds": seconds, "runs": RUNS, "machine": None, "workloads": {}}
+    out = {"source": git_source(root), "src_lines": src_lines(root),
+           "command": spec["command"], "seed": SEED, "seconds": seconds,
+           "runs": RUNS, "machine": None, "workloads": {}}
     raw = {name: [] for name in names}
     for i in range(RUNS):
         for name in names:
@@ -153,6 +161,7 @@ def diff(old: dict, new: dict, bounds: dict) -> list[str]:
     nan = float("nan")
     lines = []
     for name, a, b in (
+            ("src_lines", old.get("src_lines", nan), new["src_lines"]),
             ("startup_s (best)", old.get("startup_s", {}).get("best", nan),
              new["startup_s"]["best"]),
             ("numpy_import_s (best)", old.get("numpy_import_s", {}).get("best", nan),
