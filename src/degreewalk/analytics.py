@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, exact_top_k
+from .graph import Graph, check_k, exact_top_k
 from .generators import ParetoTail
 from .walk import check_alpha
 
@@ -191,8 +191,7 @@ def evt_predict(tail: ParetoTail, n: int, k: int,
     gamma, c = tail.gamma, tail.c
     if gamma <= 1.0:
         raise ValueError(f"gamma must be > 1 (finite mean), got {gamma}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, n={n}], got {k}")
+    check_k(k, n)
     if max_variant not in _MAX_VARIANTS:
         raise ValueError(f"max_variant must be one of {_MAX_VARIANTS}")
     delta = 1.0 / gamma

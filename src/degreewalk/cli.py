@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import __version__, analytics, detector, experiments, generators
-from .graph import Graph, check_k, exact_top_k, load_edge_list
+from .graph import Graph, exact_top_k, load_edge_list
 from .walk import EveryStep, Thinned, WalkConfig
 
 
@@ -112,9 +112,9 @@ def _cmd_ingest(args) -> int:
 
 def _rule_threshold(args, m):
     """The value of the threshold flag for `args.rule`; UsageError if
-    missing or extra, ValueError if `args.k` is below 1, if the threshold
-    is out of the rule's range for it, or if the sampling flags leave no
-    step to sample."""
+    missing or extra, and the error of `detector.check_rule_threshold` or
+    `detector.check_sampling` if `args.k`, the threshold or the sampling
+    flags are bad."""
     rule, a_bar, b_bar = args.rule, args.a_bar, args.b_bar
     given = {"--m": m, "--a-bar": a_bar, "--b-bar": b_bar}
     needed = {"fixed": "--m", "r0": "--a-bar", "r1": "--a-bar", "r2": "--b-bar"}[rule]
@@ -123,22 +123,15 @@ def _rule_threshold(args, m):
             raise UsageError(f"rule {rule} requires {flag}")
         if flag != needed and value is not None:
             raise UsageError(f"rule {rule} does not take {flag}")
-    check_k(args.k)
-    if rule != "fixed":
-        detector.check_rule_threshold(rule, given[needed], args.k)
+    detector.check_rule_threshold(rule, given[needed], args.k)
     detector.check_sampling(_walk_mode(args), args.max_steps)
     return given[needed]
 
 
 def _cmd_detect(args) -> int:
-    rule = args.rule
     threshold = _rule_threshold(args, args.m)
     g = _load_graph(args.graph)
-    cfg = _walk_config(args, g)
-    if rule == "fixed":
-        dec = detector.detect_fixed_m_decision(g, cfg, args.k, threshold)
-    else:
-        dec = detector.detect_with_rule(g, cfg, args.k, rule, threshold)
+    dec = detector.detect_with_rule(g, _walk_config(args, g), args.k, args.rule, threshold)
 
     lines = ["original_id,degree,hits"]
     for node, deg, hits in dec.final_list.entries():

@@ -25,6 +25,7 @@ the steps left reach the list.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import insort
 from dataclasses import dataclass
 
@@ -144,12 +145,18 @@ def stopping_rule_0(lst: CandidateList, a_bar: float) -> bool:
 
 
 def check_rule_threshold(rule: str, threshold: float, k: int) -> None:
-    """check_k(k), then ValueError naming the threshold unless it suits
-    `rule`: a_bar (r0, r1) must lie in (0, 2), as the error scores lie in
-    [0, 2], and b_bar (r2) must be finite and at most k, as coverage sums
-    k terms of at most 1."""
+    """check_k(k), then ValueError unless `rule` is one of _RULES and the
+    threshold suits it: m (fixed) must be an integer >= 1 (TypeError if it
+    is no integer), a_bar (r0, r1) must lie in (0, 2), as the error scores
+    lie in [0, 2], and b_bar (r2) must be finite and at most k, as
+    coverage sums k terms of at most 1."""
     check_k(k)
-    if rule == "r2":
+    if rule not in _RULES:
+        raise ValueError(f"rule must be one of {tuple(_RULES)}, got {rule!r}")
+    if rule == "fixed":
+        if operator.index(threshold) < 1:
+            raise ValueError(f"m must be >= 1, got {threshold}")
+    elif rule == "r2":
         if not math.isfinite(threshold):
             raise ValueError(f"b_bar must be finite, got {threshold}")
         if threshold > k:
@@ -189,7 +196,9 @@ def stopping_rule_2(lst: CandidateList, b_bar: float) -> bool:
     return sum(lst.member_factors()) >= b_bar
 
 
-_RULES = {"r0": stopping_rule_0, "r1": stopping_rule_1, "r2": stopping_rule_2}
+# rule name -> stopping predicate; the fixed budget of m samples has none
+_RULES = {"fixed": None, "r0": stopping_rule_0, "r1": stopping_rule_1,
+          "r2": stopping_rule_2}
 
 
 def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
@@ -220,7 +229,6 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
     degrees = g.degrees
     samples = 0
     for nodes, kept, base in _visits(g, cfg):
-        nodes = np.asarray(nodes)
         # at[i]: samples up to and including step i of the block
         at = samples + np.cumsum(kept)
         end = len(nodes)
@@ -246,12 +254,9 @@ def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
 
 
 def detect_fixed_m_decision(g: Graph, cfg: WalkConfig, k: int, m: int) -> StopDecision:
-    """detect_fixed_m with cost accounting; fired=False when the walk's
-    raw-step cap ran out before m samples arrived. A mode that
-    `check_sampling` rejects raises ValueError before any walking."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return _run_list(g, cfg, k, "fixed_m", float(m), stop_sample=m, stop_rule=None)
+    """detect_fixed_m with cost accounting: detect_with_rule under rule
+    "fixed"."""
+    return detect_with_rule(g, cfg, k, "fixed", m)
 
 
 def detect_fixed_m(g: Graph, cfg: WalkConfig, k: int, m: int) -> CandidateList:
@@ -263,17 +268,19 @@ def detect_with_rule(g: Graph, cfg: WalkConfig, k: int, rule: str,
                      threshold: float) -> StopDecision:
     """Walk until the stopping rule fires or cfg.max_steps raw steps elapse.
 
-    rule is one of "r0", "r1" (threshold is a_bar for both; r1 derives its
-    hit floor x0 from it and records that) or "r2" (threshold is b_bar).
-    The rule is evaluated on the empty list first, so an already-satisfied
-    threshold fires at zero cost, and then after every sample of a listed
-    node. A run that exhausts max_steps is returned with fired=False. A
-    threshold that `check_rule_threshold` rejects, or a mode that
-    `check_sampling` rejects, raises ValueError before any walking.
+    rule is one of "fixed" (threshold is the sample budget m; the decision
+    is labelled "fixed_m"), "r0", "r1" (threshold is a_bar for both; r1
+    derives its hit floor x0 from it and records that) or "r2" (threshold
+    is b_bar). Rules r0-r2 are evaluated on the empty list first, so an
+    already-satisfied threshold fires at zero cost, and then after every
+    sample of a listed node. A run that exhausts max_steps is returned
+    with fired=False. A rule or threshold that `check_rule_threshold`
+    rejects, or a mode that `check_sampling` rejects, raises before any
+    walking.
     """
-    if rule not in _RULES:
-        raise ValueError(f"rule must be one of {tuple(_RULES)}, got {rule!r}")
     check_rule_threshold(rule, threshold, k)
+    if rule == "fixed":
+        return _run_list(g, cfg, k, "fixed_m", float(threshold), threshold, None)
     recorded = float(rule1_threshold(k, threshold)) if rule == "r1" else threshold
     rule_fn = _RULES[rule]
     return _run_list(g, cfg, k, rule, recorded, stop_sample=None,

@@ -7,19 +7,20 @@ and trials run one after another in trial order.
 from __future__ import annotations
 
 import datetime as _dt
+import operator
 from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
 
 from .analytics import expected_correct_count, stationary
-from .detector import detect_with_rule
+from .detector import check_rule_threshold, detect_with_rule
 from .graph import Graph, check_k, exact_top_k
 from .walk import WalkConfig, sample_stream, walk_until_hit
 
 
 def _check_runs(runs: int) -> None:
-    if runs < 1:
+    if operator.index(runs) < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
 
 
@@ -44,7 +45,7 @@ class AccuracyCurvePlan:
     def __post_init__(self):
         _check_runs(self.runs)
         check_k(self.k)
-        grid = tuple(self.m_grid)
+        grid = tuple(map(operator.index, self.m_grid))
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"m_grid must be strictly increasing, got {grid}")
         if grid[0] < 0:
@@ -63,7 +64,7 @@ class StoppingEvalPlan:
 
     def __post_init__(self):
         _check_runs(self.runs)
-        check_k(self.k)
+        check_rule_threshold(self.rule, self.threshold, self.k)
 
 
 # -- hitting times ----------------------------------------------------------

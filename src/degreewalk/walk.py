@@ -25,11 +25,8 @@ in which too many segments failed, and _moves alone then hands the rest
 of the walk to _walk. A first superblock costs about 4000 scalar steps:
 a stream stopped after 1025 to 4096 steps is slower than on _walk alone
 and a longer one faster (1100 steps on a 1e5-node PA tree at alpha = 2:
-2.4 against 0.6 ms). _visits alone applies the sampling mode, as a keep
-mask per block. A block's nodes are _walk's list of ints or _segments'
-int64 array, so a stream that stops within its first _SCALAR steps
-converts none of them; the detector makes each an array and filters it
-with numpy.
+2.4 against 0.6 ms). _moves hands out every block as an int64 array, and
+_visits alone applies the sampling mode, as a keep mask per block.
 """
 
 from __future__ import annotations
@@ -99,9 +96,8 @@ class Sample(NamedTuple):
     step_index: int  # raw walk step at which the node was visited
 
 
-# (nodes, mask of the visits cfg.mode keeps, raw steps before the block);
-# the nodes are a list of ints from _walk or an int64 array from _segments
-Block = tuple[Union[list, np.ndarray], np.ndarray, int]
+# (int64 nodes, mask of the visits cfg.mode keeps, raw steps before the block)
+Block = tuple[np.ndarray, np.ndarray, int]
 
 
 def _draws(rng: np.random.Generator, steps: int) -> Iterator[np.ndarray]:
@@ -247,16 +243,17 @@ def _segments(g: Graph, alpha: float, start: int, u: np.ndarray,
 
 
 def _moves(g: Graph, alpha: float, rng: np.random.Generator, start: int,
-           max_steps: int) -> Iterator[tuple[Union[list, np.ndarray], int]]:
-    """The walk as blocks (nodes, base), as _walk gives it: _walk's lists
-    for the first _SCALAR steps, then int64 arrays of superblocks through
-    _segments, _SUPER steps and then 2 * _SUPER (the _jumps tables are
-    built before the first), and _walk's lists once a superblock has too
-    many failed segments; _moves alone makes that switch. All of them read
-    rng: _walk through _draws, _segments one superblock at a time, and
-    float64 random() output does not depend on how it is chunked."""
+           max_steps: int) -> Iterator[tuple[np.ndarray, int]]:
+    """The walk as int64 blocks (nodes, base), as _walk gives it: _walk's
+    blocks for the first _SCALAR steps, then superblocks through _segments,
+    _SUPER steps and then 2 * _SUPER (the _jumps tables are built before
+    the first), and _walk's blocks again once a superblock has too many
+    failed segments; _moves alone makes that switch, and turns _walk's
+    lists into arrays. All of them read rng: _walk through _draws,
+    _segments one superblock at a time, and float64 random() output does
+    not depend on how it is chunked."""
     for nodes, base in _walk(g, alpha, _draws(rng, min(max_steps, _SCALAR)), start):
-        yield nodes, base
+        yield np.array(nodes, dtype=np.int64), base
     steps, cur, slow, size = base + len(nodes), nodes[-1], False, _SUPER
     jumps = _jumps(g, alpha) if steps < max_steps else None
     while steps < max_steps and not slow:
@@ -264,7 +261,7 @@ def _moves(g: Graph, alpha: float, rng: np.random.Generator, start: int,
         yield nodes, steps
         steps, cur, size = steps + len(nodes), int(nodes[-1]), 2 * _SUPER
     for nodes, base in _walk(g, alpha, _draws(rng, max_steps - steps), cur):
-        yield nodes, steps + base
+        yield np.array(nodes, dtype=np.int64), steps + base
 
 
 def _visits(g: Graph, cfg: WalkConfig,
@@ -298,7 +295,5 @@ def sample_stream(g: Graph, cfg: WalkConfig, start: int | None = None) -> Iterat
     cfg.max_steps raw steps are walked either way.
     """
     for nodes, kept, base in _visits(g, cfg, start):
-        if isinstance(nodes, np.ndarray):
-            nodes = nodes.tolist()
-        for i in np.flatnonzero(kept).tolist():
-            yield Sample(nodes[i], base + i + 1)
+        at = np.flatnonzero(kept)
+        yield from map(Sample, nodes[at].tolist(), (at + base + 1).tolist())

@@ -271,8 +271,13 @@ class TestEvtPredict:
 
     @pytest.mark.parametrize("k", [0, 1001, 2 ** 63])
     def test_rank_beyond_sample_size_rejected(self, k):
-        with pytest.raises(ValueError, match=r"k must be in \[1, n=1000\]"):
+        msg = "k must be >= 1, got 0" if k < 1 else f"k={k} exceeds node count n=1000"
+        with pytest.raises(ValueError, match=f"^{msg}$"):
             evt_predict(PA_TAIL, 1000, k)
+
+    def test_non_integer_rank_rejected(self):
+        with pytest.raises(TypeError):
+            evt_predict(PA_TAIL, 1000, 2.5)
 
     def test_rank_below_one_rejected(self):
         with pytest.raises(ValueError, match="rank must be >= 1, got 0"):

@@ -114,11 +114,12 @@ class TestExitCodes:
         assert err.startswith("error:") and name in err and "graph.txt" not in err
 
     def test_bad_k_reported_before_graph_is_read(self, capsys):
-        """The fixed rule takes no threshold, yet --k 0 is reported first."""
-        assert main(["detect", "/nonexistent/graph.txt", "--rule", "fixed",
-                     "--m", "7", "--k", "0"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: k must be >= 1") and "graph.txt" not in err
+        """The fixed rule's --k 0 and --m 0 are reported first."""
+        for m, k, msg in (("7", "0", "k must be >= 1"), ("0", "1", "m must be >= 1")):
+            assert main(["detect", "/nonexistent/graph.txt", "--rule", "fixed",
+                         "--m", m, "--k", k]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {msg}") and "graph.txt" not in err
 
     def test_malformed_edge_list(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

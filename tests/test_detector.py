@@ -360,6 +360,33 @@ class TestDetection:
         with pytest.raises(ValueError, match="m must be >= 1, got 0"):
             detect_fixed_m_decision(star4, WalkConfig(alpha=1.0, seed=0), 2, 0)
 
+    def test_fixed_m_float_rejected_before_walking(self, monkeypatch):
+        """A float m raises TypeError before the walk takes a step."""
+        g = dw.generate_pa(dw.PAConfig(n=2000, seed=3))
+        cfg = WalkConfig(alpha=2.0, seed=1, max_steps=200_000)
+        monkeypatch.setattr(detector_mod, "_visits", lambda *a: pytest.fail("walked"))
+        with pytest.raises(TypeError):
+            detect_fixed_m_decision(g, cfg, 5, 2.5)
+
+    def test_fixed_rule_is_fixed_m_decision(self, star4):
+        """Rule "fixed" with threshold m is detect_fixed_m_decision, label
+        included; m = 2000 walks past the scalar phase into the segments."""
+        cfg = WalkConfig(alpha=1.0, seed=9, max_steps=10_000, mode=EveryStep())
+
+        def fields(dec):
+            return (dec.rule, dec.threshold, dec.fired, dec.fired_at_samples,
+                    dec.raw_steps, dec.final_list.entries())
+
+        got = fields(detect_with_rule(star4, cfg, 2, "fixed", 2000))
+        assert got == fields(detect_fixed_m_decision(star4, cfg, 2, 2000))
+        assert got[:5] == ("fixed_m", 2000.0, True, 2000, 2000)
+
+    def test_unknown_rule_names_all_four(self, star4):
+        cfg = WalkConfig(alpha=1.0, seed=0, max_steps=10)
+        with pytest.raises(ValueError, match=r"^rule must be one of "
+                           r"\('fixed', 'r0', 'r1', 'r2'\), got 'r9'$"):
+            detect_with_rule(star4, cfg, 2, "r9", 1.0)
+
     def test_degenerate_threshold_fires_immediately(self, star4):
         cfg = WalkConfig(alpha=1.0, seed=0, max_steps=100)
         dec = detect_with_rule(star4, cfg, 2, "r2", 0.0)

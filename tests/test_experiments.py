@@ -42,6 +42,8 @@ class TestHittingTrials:
         cfg = WalkConfig(alpha=1.0, seed=0, max_steps=100)
         with pytest.raises(ValueError, match="^runs must be >= 1, got 0$"):
             HittingTimePlan(walk=cfg, runs=0)
+        with pytest.raises(TypeError):
+            HittingTimePlan(walk=cfg, runs=2.5)
 
 
 class TestAccuracyCurve:
@@ -90,6 +92,11 @@ class TestAccuracyCurve:
             AccuracyCurvePlan(walk=cfg, k=1, m_grid=(1, 2), runs=0)
         with pytest.raises(TypeError):
             AccuracyCurvePlan(walk=cfg, k=2.5, m_grid=(1, 2), runs=10)
+        for grid in ((10, 20.5), (10.5, 20)):
+            with pytest.raises(TypeError):
+                AccuracyCurvePlan(walk=cfg, k=1, m_grid=grid, runs=10)
+        grid = AccuracyCurvePlan(walk=cfg, k=1, m_grid=np.arange(10, 40, 10), runs=1).m_grid
+        assert grid == (10, 20, 30) and all(type(m) is int for m in grid)
         plan = AccuracyCurvePlan(walk=cfg, k=9, m_grid=(1,), runs=1)
         with pytest.raises(ValueError):
             run_accuracy_curve(star4, plan)
@@ -125,6 +132,15 @@ class TestStoppingEval:
         cfg = WalkConfig(alpha=1.0, seed=0, max_steps=100)
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
             StoppingEvalPlan(walk=cfg, k=k, rule="r1", threshold=0.5, runs=runs)
+
+    @pytest.mark.parametrize("rule, threshold, msg", [
+        ("r9", 0.5, r"^rule must be one of \('fixed', 'r0', 'r1', 'r2'\), got 'r9'$"),
+        ("r0", 5.0, r"^a_bar must be in \(0, 2\), got 5.0$")], ids=["r9", "r0-5.0"])
+    def test_plan_bad_rule_or_threshold_rejected(self, rule, threshold, msg):
+        """Rejected when the plan is built, not at its first trial."""
+        cfg = WalkConfig(alpha=1.0, seed=0, max_steps=100)
+        with pytest.raises(ValueError, match=msg):
+            StoppingEvalPlan(walk=cfg, k=1, rule=rule, threshold=threshold, runs=1)
 
     def test_small_graph_detection_quality(self):
         g = random_connected_graph(30, 4.0, seed=1)

@@ -367,21 +367,24 @@ class TestSegmentKernel:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 2.0])
     def test_moves_on_pa_graph(self, pa2000, fixups, alpha):
-        """_walk's lists in the scalar phase, int64 arrays from _segments,
-        and at small alpha _walk's lists again: the first superblock has too
-        many failed segments, and _moves calls _segments no more."""
+        """Every block is an int64 array: the two 512-step blocks of the
+        scalar phase, the superblocks of _segments, and at small alpha
+        _walk's 512-step blocks again: the first superblock has too many
+        failed segments, and _moves calls _segments no more."""
         rng = np.random.default_rng(4)
         blocks = [nodes for nodes, _ in _moves(pa2000, alpha, rng, 0, 60_000)]
-        arrays = [i for i, b in enumerate(blocks) if not isinstance(b, list)]
-        assert all(blocks[i].dtype == np.int64 for i in arrays)
-        assert arrays[0] == walk_mod._SCALAR // walk_mod._BLOCK == 2
-        sizes = [len(blocks[i]) for i in arrays]
+        assert all(isinstance(b, np.ndarray) and b.dtype == np.int64 for b in blocks)
+        sizes = [len(b) for b in blocks]
+        scalar = walk_mod._SCALAR // walk_mod._BLOCK
+        assert scalar == 2 and sizes[:scalar] == [walk_mod._BLOCK] * scalar
         if alpha < 0.5:
-            assert arrays == [arrays[0]] and fixups["superblock"] == fixups["slow"] == 1
-            assert len(blocks) > arrays[0] + 1 and sizes == [walk_mod._SUPER]
+            assert fixups["superblock"] == fixups["slow"] == 1
+            rest = 60_000 - walk_mod._SCALAR - walk_mod._SUPER
+            tail = [walk_mod._BLOCK] * (rest // walk_mod._BLOCK) + [rest % walk_mod._BLOCK]
+            assert sizes[scalar:] == [walk_mod._SUPER] + tail
         else:
-            assert arrays == list(range(arrays[0], len(blocks))) and fixups["slow"] == 0
-            assert sizes == [16384, 32768, 60_000 - 1024 - 16384 - 32768]
+            assert fixups["superblock"] == 3 and fixups["slow"] == 0
+            assert sizes[scalar:] == [16384, 32768, 60_000 - 1024 - 16384 - 32768]
         want = [v for v, _, _ in walk_reference(pa2000, alpha, np.random.default_rng(4),
                                                 None, 0, 60_000)]
         assert np.concatenate(blocks).tolist() == want

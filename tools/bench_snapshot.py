@@ -28,6 +28,19 @@ The script then prints, metric by metric, the change against the
 highest-numbered BENCH file before it, with the BENCHMARK.json bound of
 each end-to-end metric. The BENCH files are kept at the root of the
 checkout that holds this script, whichever checkout's bench is run.
+
+    python3 tools/bench_snapshot.py --pairs N PARENT   # alternated pairs
+
+runs each workload's `bench/run.py --trace 0` in PARENT and in the
+checkout that holds this script, in turn, for N pairs with seeds 1..N.
+The side that runs first alternates from pair to pair, and one process
+runs at a time. No run is dropped and no pair is re-seeded. It writes no
+BENCH file and prints one JSON object: every run's end-to-end metrics
+and calibration_ms, and per workload and metric each side's median and
+quartiles (inclusive method, as numpy's default percentile), the pairs
+the change wins (a tie counts for neither side), the relative change of
+the medians, whether the medians differ by more than the parent's
+quartile distance, and the BENCHMARK.json bound.
 """
 
 from __future__ import annotations
@@ -49,10 +62,10 @@ SEED = 1
 
 
 def run_bench(root: Path, command: list[str], workload: str, seconds: float,
-              trace: int) -> tuple[dict, dict]:
+              trace: int, seed: int = SEED) -> tuple[dict, dict]:
     """(metadata, result) of one bench/run.py process: its last two lines."""
     argv = [sys.executable if command[0].startswith("python") else command[0],
-            *command[1:], "--workload", workload, "--seed", str(SEED),
+            *command[1:], "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, stdout=subprocess.PIPE, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
@@ -151,6 +164,48 @@ def snapshot(root: Path, spec: dict) -> dict:
     return out
 
 
+def pairs(parent: Path, spec: dict, count: int) -> dict:
+    """Alternated pairs of untraced runs of PARENT and of this checkout."""
+    roots = {"parent": parent, "change": HERE}
+    commands = {side: json.loads((root / "BENCHMARK.json").read_text())["command"]
+                for side, root in roots.items()}
+    out = {"source": {side: git_source(root) for side, root in roots.items()},
+           "seconds": spec["run_seconds"], "pairs": count, "workloads": {}}
+    for wl in spec["workloads"]:
+        name, runs = wl["name"], []
+        for seed in range(1, count + 1):
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                print(f"pair {seed}/{count}: {name} {side}", file=sys.stderr, flush=True)
+                meta, result = run_bench(roots[side], commands[side], name,
+                                         spec["run_seconds"], 0, seed)
+                pair[side] = {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+                              "correct": result["correct"], "failed": result["failed"],
+                              "calibration_ms": meta["calibration_ms"]}
+            runs.append(pair)
+        out["workloads"][name] = {"runs": runs, "metrics": {
+            m["name"]: compare([p["parent"]["metrics"][m["name"]] for p in runs],
+                               [p["change"]["metrics"][m["name"]] for p in runs], m)
+            for m in spec["end_to_end"]}}
+    return out
+
+
+def compare(parent: list[float], change: list[float], metric: dict) -> dict:
+    """Medians, quartiles and wins of paired values of one metric."""
+    def quartiles(values):
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        return {"median": med, "q1": q1, "q3": q3}
+
+    a, b = quartiles(parent), quartiles(change)
+    sign = 1 if metric["better"] == "higher" else -1
+    return {"parent": a, "change": b,
+            "change_wins": sum(sign * (y - x) > 0 for x, y in zip(parent, change)),
+            "median_change": (b["median"] - a["median"]) / a["median"] if a["median"] else None,
+            "beyond_parent_iqr": abs(b["median"] - a["median"]) > a["q3"] - a["q1"],
+            "better": metric["better"], "bound": metric["bound"]}
+
+
 def number(path: Path) -> int:
     return int(re.fullmatch(r"BENCH_(\d+)\.json", path.name).group(1))
 
@@ -202,8 +257,18 @@ def diff(old: dict, new: dict, bounds: dict) -> list[str]:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("root", type=Path, nargs="?", default=HERE,
-                   help="the checkout whose bench/run.py is run (default: this one)")
-    root = p.parse_args(argv).root.resolve()
+                   help="the checkout whose bench/run.py is run (default: this one); "
+                        "with --pairs, the parent's checkout")
+    p.add_argument("--pairs", type=int, default=None, metavar="N",
+                   help="run N >= 2 alternated pairs of ROOT and this checkout instead")
+    args = p.parse_args(argv)
+    root = args.root.resolve()
+    if args.pairs is not None:
+        if args.pairs < 2 or root == HERE:
+            p.error("--pairs needs N >= 2 and a parent checkout other than this one")
+        spec = json.loads((HERE / "BENCHMARK.json").read_text())
+        print(json.dumps(pairs(root, spec, args.pairs), indent=1))
+        return 0
     spec = json.loads((root / "BENCHMARK.json").read_text())
     previous = sorted(HERE.glob("BENCH_[0-9]*.json"), key=number)
     path = HERE / f"BENCH_{(number(previous[-1]) if previous else 0) + 1:03d}.json"
