@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import __version__, analytics, detector, experiments, generators
 from .graph import Graph, exact_top_k, load_edge_list
-from .walk import EveryStep, Thinned, WalkConfig
+from .walk import EveryStep, Thinned, WalkConfig, check_alpha
 
 
 class UsageError(Exception):
@@ -59,14 +60,13 @@ def _resolve_alpha(args, g: Graph) -> float:
     return g.average_degree() if args.alpha is None else args.alpha
 
 
-def _walk_mode(args):
-    return (EveryStep() if args.mode == "everystep"
+def _walk_config(args) -> WalkConfig:
+    """The walk flags; an unset --alpha stands at 0 until the graph is read
+    and `_resolve_alpha` gives it the graph's average degree."""
+    mode = (EveryStep() if args.mode == "everystep"
             else Thinned(transient=args.transient, q=args.q))
-
-
-def _walk_config(args, g: Graph) -> WalkConfig:
-    return WalkConfig(alpha=_resolve_alpha(args, g), seed=args.seed,
-                      max_steps=args.max_steps, mode=_walk_mode(args))
+    return WalkConfig(alpha=0.0 if args.alpha is None else args.alpha, seed=args.seed,
+                      max_steps=args.max_steps, mode=mode)
 
 
 def _emit(args, lines) -> None:
@@ -112,9 +112,8 @@ def _cmd_ingest(args) -> int:
 
 def _rule_threshold(args, m):
     """The value of the threshold flag for `args.rule`; UsageError if
-    missing or extra, and the error of `detector.check_rule_threshold` or
-    `detector.check_sampling` if `args.k`, the threshold or the sampling
-    flags are bad."""
+    missing or extra, and the error of `detector.check_rule_threshold` if
+    `args.k` or the threshold is bad."""
     rule, a_bar, b_bar = args.rule, args.a_bar, args.b_bar
     given = {"--m": m, "--a-bar": a_bar, "--b-bar": b_bar}
     needed = {"fixed": "--m", "r0": "--a-bar", "r1": "--a-bar", "r2": "--b-bar"}[rule]
@@ -124,14 +123,16 @@ def _rule_threshold(args, m):
         if flag != needed and value is not None:
             raise UsageError(f"rule {rule} does not take {flag}")
     detector.check_rule_threshold(rule, given[needed], args.k)
-    detector.check_sampling(_walk_mode(args), args.max_steps)
     return given[needed]
 
 
 def _cmd_detect(args) -> int:
     threshold = _rule_threshold(args, args.m)
+    cfg = _walk_config(args)
+    detector.check_sampling(cfg.mode, cfg.max_steps)
     g = _load_graph(args.graph)
-    dec = detector.detect_with_rule(g, _walk_config(args, g), args.k, args.rule, threshold)
+    cfg = replace(cfg, alpha=_resolve_alpha(args, g))
+    dec = detector.detect_with_rule(g, cfg, args.k, args.rule, threshold)
 
     lines = ["original_id,degree,hits"]
     for node, deg, hits in dec.final_list.entries():
@@ -161,6 +162,8 @@ def _parse_nu(text: str):
 
 def _cmd_analyze(args) -> int:
     nu = _parse_nu(args.nu) if args.what == "hitting" else None
+    if args.alpha is not None:
+        check_alpha(args.alpha)
     g = _load_graph(args.graph)
     alpha = _resolve_alpha(args, g)
     if args.what == "stationary":
@@ -198,36 +201,35 @@ def _cmd_estimate(args) -> int:
 # -- experiment -------------------------------------------------------------------
 
 def _cmd_experiment(args) -> int:
-    if args.what == "accuracy":
+    if args.what == "hitting":
+        plan = experiments.HittingTimePlan(walk=_walk_config(args), runs=args.runs,
+                                           master_seed=args.seed)
+        run = experiments.run_hitting_time
+        header = ["trial", "steps"]
+    elif args.what == "accuracy":
         if args.m_grid is None:
             raise UsageError("experiment accuracy requires --m-grid")
         try:
             grid = tuple(int(x) for x in args.m_grid.split(","))
         except ValueError as exc:
             raise UsageError(f"--m-grid must be comma-separated integers: {exc}") from None
-    elif args.what == "stopping":
+        plan = experiments.AccuracyCurvePlan(walk=_walk_config(args), k=args.k, m_grid=grid,
+                                             runs=args.runs, master_seed=args.seed)
+        run = experiments.run_accuracy_curve
+        header = ["m", "mean_correct", "ci95", "exact", "poisson"]
+    else:
         if args.rule is None:
             raise UsageError("experiment stopping requires --rule")
         threshold = _rule_threshold(args, None)
-    g = _load_graph(args.graph)
-    cfg = _walk_config(args, g)
-    if args.what == "hitting":
-        plan = experiments.HittingTimePlan(walk=cfg, runs=args.runs,
-                                           master_seed=args.seed)
-        rows, summary = experiments.run_hitting_time(g, plan)
-        header = ["trial", "steps"]
-    elif args.what == "accuracy":
-        plan = experiments.AccuracyCurvePlan(walk=cfg, k=args.k, m_grid=grid,
-                                             runs=args.runs, master_seed=args.seed)
-        rows, summary = experiments.run_accuracy_curve(g, plan)
-        header = ["m", "mean_correct", "ci95", "exact", "poisson"]
-    else:
-        plan = experiments.StoppingEvalPlan(walk=cfg, k=args.k, rule=args.rule,
-                                            threshold=threshold, runs=args.runs,
-                                            master_seed=args.seed)
-        rows, summary = experiments.run_stopping_eval(g, plan)
+        plan = experiments.StoppingEvalPlan(walk=_walk_config(args), k=args.k,
+                                            rule=args.rule, threshold=threshold,
+                                            runs=args.runs, master_seed=args.seed)
+        run = experiments.run_stopping_eval
         header = ["trial", "raw_steps", "samples", "correct_count",
                   "full_list_correct", "fired"]
+    g = _load_graph(args.graph)
+    cfg = replace(plan.walk, alpha=_resolve_alpha(args, g))
+    rows, summary = run(g, replace(plan, walk=cfg))
     if args.out:
         experiments.write_csv(args.out, header, rows, summary=summary)
     else:

@@ -201,58 +201,6 @@ _RULES = {"fixed": None, "r0": stopping_rule_0, "r1": stopping_rule_1,
           "r2": stopping_rule_2}
 
 
-def _run_list(g: Graph, cfg: WalkConfig, k: int, rule: str, threshold: float,
-              stop_sample, stop_rule) -> StopDecision:
-    """Shared detection loop: observe every visit, count sampled hits.
-
-    stop_sample limits the sample budget; stop_rule(lst) is the firing
-    predicate (None for fixed-budget runs). It is scored on the empty list
-    first, then after each sample of a node that is listed once the sample
-    is counted. Any other sample finds a full list and changes nothing, so
-    only unsampled visits can have changed the list since its last score.
-    If one did, the newest member has no hits yet, and every rule is still
-    False: rule 0 scores 2 > a_bar, rule 1 sees a minimum of 0 hits, and
-    rule 2's coverage can only have fallen, as entries start at 0 hits and
-    evictions drop counters.
-
-    Each walk block is cut at the sample that exhausts the budget. Once the
-    list is full, only the steps whose (-degree, node) key is at or before
-    the worst listed key at the block's start reach the list: a higher
-    degree, or the worst degree and a node id at most the worst node's.
-    Every member's key is, and the worst key only improves, so a skipped
-    step is a non-member that cannot enter: it would change nothing.
-    """
-    lst = CandidateList(check_k(k, g.n))
-    check_sampling(cfg.mode, cfg.max_steps)
-    if stop_rule is not None and stop_rule(lst):
-        return StopDecision(rule, threshold, True, 0, 0, lst)
-    degrees = g.degrees
-    samples = 0
-    for nodes, kept, base in _visits(g, cfg):
-        # at[i]: samples up to and including step i of the block
-        at = samples + np.cumsum(kept)
-        end = len(nodes)
-        if stop_sample is not None and at[-1] >= stop_sample:
-            end = int(np.searchsorted(at, stop_sample)) + 1
-        degs = degrees[nodes[:end]]
-        neg, worst = lst._keys[-1] if lst.is_full else (0, g.n)  # the worst key
-        sel = np.flatnonzero(degs >= -neg)
-        sel = sel[(degs[sel] > -neg) | (nodes[sel] <= worst)]
-        for j, node, deg, keep in zip(sel.tolist(), nodes[sel].tolist(),
-                                      degs[sel].tolist(), kept[sel].tolist()):
-            if keep:
-                lst.update(node, deg)
-                if stop_rule is not None and node in lst and stop_rule(lst):
-                    return StopDecision(rule, threshold, True, int(at[j]),
-                                        base + j + 1, lst)
-            else:
-                lst.observe(node, deg)
-        samples = int(at[end - 1])
-        if samples == stop_sample:
-            return StopDecision(rule, threshold, True, samples, base + end, lst)
-    return StopDecision(rule, threshold, False, samples, cfg.max_steps, lst)
-
-
 def detect_fixed_m_decision(g: Graph, cfg: WalkConfig, k: int, m: int) -> StopDecision:
     """detect_fixed_m with cost accounting: detect_with_rule under rule
     "fixed"."""
@@ -271,17 +219,59 @@ def detect_with_rule(g: Graph, cfg: WalkConfig, k: int, rule: str,
     rule is one of "fixed" (threshold is the sample budget m; the decision
     is labelled "fixed_m"), "r0", "r1" (threshold is a_bar for both; r1
     derives its hit floor x0 from it and records that) or "r2" (threshold
-    is b_bar). Rules r0-r2 are evaluated on the empty list first, so an
-    already-satisfied threshold fires at zero cost, and then after every
-    sample of a listed node. A run that exhausts max_steps is returned
-    with fired=False. A rule or threshold that `check_rule_threshold`
-    rejects, or a mode that `check_sampling` rejects, raises before any
-    walking.
+    is b_bar). A rule or threshold that `check_rule_threshold` rejects, or
+    a mode that `check_sampling` rejects, raises before any walking. A run
+    that exhausts max_steps is returned with fired=False.
+
+    Every visit is observed and every sample counted. Rules r0-r2 are
+    scored on the empty list first, so an already-satisfied threshold fires
+    at zero cost, then after each sample of a node that is listed once the
+    sample is counted. Any other sample finds a full list and changes
+    nothing, so only unsampled visits can have changed the list since its
+    last score. If one did, the newest member has no hits yet, and every
+    rule is still False: rule 0 scores 2 > a_bar, rule 1 sees a minimum of
+    0 hits, and rule 2's coverage can only have fallen, as entries start at
+    0 hits and evictions drop counters.
+
+    Each walk block is cut at the sample that exhausts the budget. Once the
+    list is full, only the steps whose (-degree, node) key is at or before
+    the worst listed key at the block's start reach the list: a higher
+    degree, or the worst degree and a node id at most the worst node's.
+    Every member's key is, and the worst key only improves, so a skipped
+    step is a non-member that cannot enter: it would change nothing.
     """
     check_rule_threshold(rule, threshold, k)
+    fires, budget = _RULES[rule], None
     if rule == "fixed":
-        return _run_list(g, cfg, k, "fixed_m", float(threshold), threshold, None)
-    recorded = float(rule1_threshold(k, threshold)) if rule == "r1" else threshold
-    rule_fn = _RULES[rule]
-    return _run_list(g, cfg, k, rule, recorded, stop_sample=None,
-                     stop_rule=lambda lst: rule_fn(lst, recorded))
+        rule, budget, threshold = "fixed_m", threshold, float(threshold)
+    elif rule == "r1":
+        threshold = float(rule1_threshold(k, threshold))
+    lst = CandidateList(check_k(k, g.n))
+    check_sampling(cfg.mode, cfg.max_steps)
+    if fires is not None and fires(lst, threshold):
+        return StopDecision(rule, threshold, True, 0, 0, lst)
+    degrees = g.degrees
+    samples = 0
+    for nodes, kept, base in _visits(g, cfg):
+        # at[i]: samples up to and including step i of the block
+        at = samples + np.cumsum(kept)
+        end = len(nodes)
+        if budget is not None and at[-1] >= budget:
+            end = int(np.searchsorted(at, budget)) + 1
+        degs = degrees[nodes[:end]]
+        neg, worst = lst._keys[-1] if lst.is_full else (0, g.n)  # the worst key
+        sel = np.flatnonzero(degs >= -neg)
+        sel = sel[(degs[sel] > -neg) | (nodes[sel] <= worst)]
+        for j, node, deg, keep in zip(sel.tolist(), nodes[sel].tolist(),
+                                      degs[sel].tolist(), kept[sel].tolist()):
+            if keep:
+                lst.update(node, deg)
+                if fires is not None and node in lst and fires(lst, threshold):
+                    return StopDecision(rule, threshold, True, int(at[j]),
+                                        base + j + 1, lst)
+            else:
+                lst.observe(node, deg)
+        samples = int(at[end - 1])
+        if samples == budget:
+            return StopDecision(rule, threshold, True, samples, base + end, lst)
+    return StopDecision(rule, threshold, False, samples, cfg.max_steps, lst)

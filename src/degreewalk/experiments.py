@@ -14,7 +14,7 @@ from itertools import islice
 import numpy as np
 
 from .analytics import expected_correct_count, stationary
-from .detector import check_rule_threshold, detect_with_rule
+from .detector import check_rule_threshold, check_sampling, detect_with_rule
 from .graph import Graph, check_k, exact_top_k
 from .walk import WalkConfig, sample_stream, walk_until_hit
 
@@ -45,6 +45,7 @@ class AccuracyCurvePlan:
     def __post_init__(self):
         _check_runs(self.runs)
         check_k(self.k)
+        check_sampling(self.walk.mode, self.walk.max_steps)
         grid = tuple(map(operator.index, self.m_grid))
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"m_grid must be strictly increasing, got {grid}")
@@ -65,6 +66,7 @@ class StoppingEvalPlan:
     def __post_init__(self):
         _check_runs(self.runs)
         check_rule_threshold(self.rule, self.threshold, self.k)
+        check_sampling(self.walk.mode, self.walk.max_steps)
 
 
 # -- hitting times ----------------------------------------------------------

@@ -113,6 +113,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err and "graph.txt" not in err
 
+    @pytest.mark.parametrize("command, flags, name", [
+        ("detect", "--k 1 --rule fixed --m 5 --max-steps 0", "max_steps must be"),
+        ("detect", "--k 1 --rule fixed --m 5 --max-steps 0 --mode everystep",
+         "max_steps must be"),
+        ("detect", "--k 1 --rule fixed --m 5 --alpha=-1", "alpha must be"),
+        ("detect", "--k 1 --rule r2 --b-bar 1 --alpha nan", "alpha must be"),
+        ("experiment hitting", "--alpha=-1", "alpha must be"),
+        ("experiment accuracy", "--m-grid 10 --alpha nan", "alpha must be"),
+        ("experiment stopping", "--rule r2 --b-bar 1 --alpha=-1", "alpha must be"),
+        ("analyze stationary", "--alpha=-1", "alpha must be"),
+        ("analyze return-time", "--alpha nan", "alpha must be"),
+        ("analyze hitting", "--alpha=-1", "alpha must be"),
+        ("experiment hitting", "--runs 0", "runs must be >= 1"),
+        ("experiment accuracy", "--m-grid 5,5", "m_grid must be strictly increasing"),
+        ("experiment accuracy", "--m-grid 10,100 --k 0", "k must be >= 1"),
+        ("experiment accuracy", "--m-grid 10,100 --alpha 2 --max-steps 50",
+         "transient must be below max_steps=50"),
+    ])
+    def test_bad_walk_or_plan_reported_before_graph_is_read(self, command, flags,
+                                                            name, capsys):
+        """A bad --alpha or --max-steps, or an experiment plan that its
+        owner rejects, exits 2 naming it, even when the graph file does not
+        exist."""
+        argv = command.split() + ["/nonexistent/graph.txt"] + flags.split()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and "graph.txt" not in err
+
     def test_bad_k_reported_before_graph_is_read(self, capsys):
         """The fixed rule's --k 0 and --m 0 are reported first."""
         for m, k, msg in (("7", "0", "k must be >= 1"), ("0", "1", "m must be >= 1")):

@@ -510,9 +510,9 @@ class TestDetection:
              thinned=True, transient=5, max_steps=300, level=0.872)
     @example(graph_seed=1, n=8, walk_seed=15, rule="r0", k_choice=3,
              thinned=True, transient=5, max_steps=300, level=0.872)
-    # past the first eight 512-step blocks (levels beyond 1 are sample
-    # budgets the strategy does not reach):
-    # m = 4096, so the budget runs out on the last step of the eighth block
+    # past the 1024 scalar steps (levels beyond 1 are sample budgets the
+    # strategy does not reach):
+    # m = 4096, inside the first superblock
     @example(graph_seed=1, n=14, walk_seed=0, rule="fixed", k_choice=3,
              thinned=False, transient=5, max_steps=5000, level=10.238)
     # rule 2 with b_bar = k fires at raw step 4279
@@ -525,6 +525,21 @@ class TestDetection:
     # and a lower-id node tied with the worst entry first shows up late
     @example(graph_seed=1, n=40, walk_seed=10, rule="fixed", k_choice=30,
              thinned=False, transient=5, max_steps=6000, level=12.0)
+    # m = 512, 513, 1024, 1025, 17408 and 17409: the budget runs out on the
+    # last step of a 512-step scalar block or of the first superblock
+    # (1024 + 16384 steps), or on the step after it
+    @example(graph_seed=1, n=14, walk_seed=4, rule="fixed", k_choice=3,
+             thinned=False, transient=5, max_steps=562, level=1.27875)
+    @example(graph_seed=1, n=14, walk_seed=4, rule="fixed", k_choice=3,
+             thinned=False, transient=5, max_steps=563, level=1.28125)
+    @example(graph_seed=1, n=14, walk_seed=4, rule="fixed", k_choice=3,
+             thinned=False, transient=5, max_steps=1074, level=2.55875)
+    @example(graph_seed=1, n=14, walk_seed=4, rule="fixed", k_choice=3,
+             thinned=False, transient=5, max_steps=1075, level=2.56125)
+    @example(graph_seed=1, n=14, walk_seed=4, rule="fixed", k_choice=3,
+             thinned=False, transient=5, max_steps=17458, level=43.51875)
+    @example(graph_seed=1, n=14, walk_seed=4, rule="fixed", k_choice=3,
+             thinned=False, transient=5, max_steps=17459, level=43.52125)
     @given(graph_seed=st.integers(0, 30), n=st.integers(4, 14),
            walk_seed=st.integers(0, 2**32 - 1),
            rule=st.sampled_from(["r0", "r1", "r2", "fixed"]),

@@ -92,6 +92,10 @@ class TestAccuracyCurve:
             AccuracyCurvePlan(walk=cfg, k=1, m_grid=(1, 2), runs=0)
         with pytest.raises(TypeError):
             AccuracyCurvePlan(walk=cfg, k=2.5, m_grid=(1, 2), runs=10)
+        # the default transient of 100 leaves none of the 100 raw steps to sample
+        with pytest.raises(ValueError, match="^transient must be below max_steps=100"):
+            AccuracyCurvePlan(walk=WalkConfig(alpha=1.0, max_steps=100, mode=Thinned()),
+                              k=1, m_grid=(1, 2), runs=10)
         for grid in ((10, 20.5), (10.5, 20)):
             with pytest.raises(TypeError):
                 AccuracyCurvePlan(walk=cfg, k=1, m_grid=grid, runs=10)
@@ -135,10 +139,14 @@ class TestStoppingEval:
 
     @pytest.mark.parametrize("rule, threshold, msg", [
         ("r9", 0.5, r"^rule must be one of \('fixed', 'r0', 'r1', 'r2'\), got 'r9'$"),
-        ("r0", 5.0, r"^a_bar must be in \(0, 2\), got 5.0$")], ids=["r9", "r0-5.0"])
+        ("r0", 5.0, r"^a_bar must be in \(0, 2\), got 5.0$"),
+        ("r1", 0.5, r"^transient must be below max_steps=100, or no step is sampled, "
+                    r"got 100$")], ids=["r9", "r0-5.0", "transient"])
     def test_plan_bad_rule_or_threshold_rejected(self, rule, threshold, msg):
-        """Rejected when the plan is built, not at its first trial."""
-        cfg = WalkConfig(alpha=1.0, seed=0, max_steps=100)
+        """Rejected when the plan is built, not at its first trial: a bad
+        rule or threshold first, then a walk whose transient of 100 leaves
+        none of its 100 raw steps to sample."""
+        cfg = WalkConfig(alpha=1.0, seed=0, max_steps=100, mode=Thinned())
         with pytest.raises(ValueError, match=msg):
             StoppingEvalPlan(walk=cfg, k=1, rule=rule, threshold=threshold, runs=1)
 
