@@ -201,17 +201,6 @@ _RULES = {"fixed": None, "r0": stopping_rule_0, "r1": stopping_rule_1,
           "r2": stopping_rule_2}
 
 
-def detect_fixed_m_decision(g: Graph, cfg: WalkConfig, k: int, m: int) -> StopDecision:
-    """detect_fixed_m with cost accounting: detect_with_rule under rule
-    "fixed"."""
-    return detect_with_rule(g, cfg, k, "fixed", m)
-
-
-def detect_fixed_m(g: Graph, cfg: WalkConfig, k: int, m: int) -> CandidateList:
-    """Run the candidate-list walk for m samples and return the list."""
-    return detect_fixed_m_decision(g, cfg, k, m).final_list
-
-
 def detect_with_rule(g: Graph, cfg: WalkConfig, k: int, rule: str,
                      threshold: float) -> StopDecision:
     """Walk until the stopping rule fires or cfg.max_steps raw steps elapse.
@@ -275,3 +264,14 @@ def detect_with_rule(g: Graph, cfg: WalkConfig, k: int, rule: str,
         if samples == budget:
             return StopDecision(rule, threshold, True, samples, base + end, lst)
     return StopDecision(rule, threshold, False, samples, cfg.max_steps, lst)
+
+
+def detect_fixed_m_decision(g: Graph, cfg: WalkConfig, k: int, m: int) -> StopDecision:
+    """detect_fixed_m with cost accounting: detect_with_rule under rule
+    "fixed"."""
+    return detect_with_rule(g, cfg, k, "fixed", m)
+
+
+def detect_fixed_m(g: Graph, cfg: WalkConfig, k: int, m: int) -> CandidateList:
+    """Run the candidate-list walk for m samples and return the list."""
+    return detect_fixed_m_decision(g, cfg, k, m).final_list
