@@ -62,9 +62,11 @@ def _resolve_alpha(args, g: Graph) -> float:
 
 def _walk_config(args) -> WalkConfig:
     """The walk flags; an unset --alpha stands at 0 until the graph is read
-    and `_resolve_alpha` gives it the graph's average degree."""
-    mode = (EveryStep() if args.mode == "everystep"
-            else Thinned(transient=args.transient, q=args.q))
+    and `_resolve_alpha` gives it the graph's average degree. The hitting
+    walk takes no samples, so it ignores --mode, --q and --transient."""
+    samples = getattr(args, "what", None) != "hitting"
+    mode = (Thinned(transient=args.transient, q=args.q)
+            if samples and args.mode == "thinned" else EveryStep())
     return WalkConfig(alpha=0.0 if args.alpha is None else args.alpha, seed=args.seed,
                       max_steps=args.max_steps, mode=mode)
 

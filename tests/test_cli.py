@@ -433,6 +433,16 @@ class TestExperimentCommand:
             bodies.append(read_csv_body(out))
         assert bodies[0] == bodies[1]
 
+    @pytest.mark.parametrize("flag", [["--q", "0"], ["--q", "1.5"], ["--transient", "-1"]])
+    def test_hitting_ignores_sampling_flags(self, pa_file, tmp_path, capsys, flag):
+        argv = ["experiment", "hitting", pa_file, "--runs", "2", "--alpha", "1"]
+        bodies = []
+        for extra, name in (([], "plain.csv"), (flag, "flag.csv")):
+            out = tmp_path / name
+            assert main(argv + extra + ["--out", str(out)]) == 0
+            bodies.append(read_csv_body(out))
+        assert bodies[0] == bodies[1]
+
     def test_accuracy_requires_grid(self, star_file, capsys):
         assert main(["experiment", "accuracy", star_file, "--runs", "5"]) == 1
         assert main(["experiment", "accuracy", star_file, "--runs", "5",
