@@ -52,11 +52,13 @@ class TestCompare:
         assert not tool.compare(parent, overlap, {"better": "lower", "bound": 0.5})["unresolved"]
         assert not tool.compare(parent, overlap, {"better": "lower", "bound": None})["unresolved"]
 
-    @pytest.mark.parametrize("shift", [-20.0, 20.0])
-    def test_runs_apart_are_resolved_either_way(self, tool, shift):
+    @pytest.mark.parametrize("metric", [LOWER, HIGHER])
+    def test_only_a_change_better_in_every_run_is_resolved(self, tool, metric):
         parent = [6.0, 8.0, 10.0, 12.0, 14.0]
-        c = tool.compare(parent, [x + shift for x in parent], LOWER)
-        assert c["parent"]["rel_iqr"] > 0.25 and not c["unresolved"]
+        below, above = [x - 10 for x in parent], [x + 10 for x in parent]
+        better, worse = (below, above) if metric is LOWER else (above, below)
+        assert not tool.compare(parent, better, metric)["unresolved"]
+        assert tool.compare(parent, worse, metric)["unresolved"]
 
 
 def _checkout(root: Path, workloads: list[str]) -> Path:

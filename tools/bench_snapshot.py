@@ -33,8 +33,8 @@ distance (q3 - q1) / median, the pairs the change wins (a tie counts for
 neither side), the relative change of the medians, whether it exceeds the
 parent's quartile distance, and the BENCHMARK.json bound. A metric is
 `unresolved` when the parent's relative quartile distance is wider than
-its bound, unless the two sides' runs do not overlap at all: the pairs
-then cannot tell a change within the bound from the host's own spread.
+its bound, unless every change run is better than every parent run: the
+pairs then cannot tell a change within the bound from the host's spread.
 The script prints one line per workload and metric.
 """
 
@@ -122,13 +122,13 @@ def compare(parent: list[float], change: list[float], metric: dict) -> dict:
     metric, and whether the pairs resolve it within its bound."""
     a, b = spread(parent, metric["better"]), spread(change, metric["better"])
     sign = 1 if metric["better"] == "higher" else -1
-    apart = max(parent) < min(change) or max(change) < min(parent)
+    beats = min(sign * y for y in change) > max(sign * x for x in parent)
     bound = metric["bound"]
     return {"parent": a, "change": b,
             "change_wins": sum(sign * (y - x) > 0 for x, y in zip(parent, change)),
             "median_change": (b["median"] - a["median"]) / a["median"] if a["median"] else None,
             "beyond_parent_iqr": abs(b["median"] - a["median"]) > a["q3"] - a["q1"],
-            "unresolved": bound is not None and a["rel_iqr"] > bound and not apart,
+            "unresolved": bound is not None and a["rel_iqr"] > bound and not beats,
             "better": metric["better"], "bound": bound}
 
 
