@@ -24,18 +24,17 @@ each workload once traced (`--trace 1`, seed 1) for its per-layer metrics.
 The BENCH file, kept at the root of this checkout, holds for each side its
 git source, src_lines (`wc -l src/degreewalk/*.py`), machine, every run's
 end-to-end metrics, correct, failed and calibration_ms, every start-up
-pair, own_startup_s (the median of its own start-ups), every tier-1 wall
-time, summary line and ten slowest tests, and the traced per-layer
-metrics. For each end-to-end metric, own start-up and tier-1 wall time it
-also holds `compare`: each side's best, median and quartiles (inclusive
-method, as numpy's default percentile) with the relative quartile
-distance (q3 - q1) / median, the pairs the change wins (a tie counts for
-neither side), the relative change of the medians, whether it exceeds the
-parent's quartile distance, and the BENCHMARK.json bound. A metric is
-`unresolved` when the parent's relative quartile distance is wider than
+pair, own_startup_s (the median of its own start-ups), every tier-1 run
+and the traced per-layer metrics. `compare` holds, for each end-to-end
+metric, own start-up and tier-1 wall time, each side's best, median and
+quartiles (inclusive method, as numpy's default percentile) with the
+relative quartile distance (q3 - q1) / median, the pairs the change wins
+(a tie counts for neither side), the relative change of the medians,
+whether it exceeds the parent's quartile distance, and the bound. A metric
+is `unresolved` when the parent's relative quartile distance is wider than
 its bound, unless every change run is better than every parent run: the
 pairs then cannot tell a change within the bound from the host's spread.
-The script prints one line per workload and metric.
+The script prints one line per figure.
 """
 
 from __future__ import annotations
@@ -187,13 +186,16 @@ def measure(parent: Path, change: Path, count: int) -> dict:
            "compare": {"startup": {"own_startup_s": compare(own["parent"], own["change"], lower)},
                        "tier1": {"wall_s": compare(*([t["wall_s"] for t in sides[side]["tier1"]]
                                                      for side in SIDES), lower)}}}
+    def values(side, name, metric):
+        return [r["metrics"][metric] for r in sides[side]["workloads"][name]["runs"]]
+
     for name in names:
-        values = {side: sides[side]["workloads"].get(name, {}).get("runs") for side in SIDES}
         out["compare"][name] = {
-            m["name"]: (compare(*([r["metrics"][m["name"]] for r in values[side]]
-                                  for side in SIDES), m) if values["parent"] else
-                        {"change": spread([r["metrics"][m["name"]] for r in values["change"]],
-                                          m["better"]), "better": m["better"]})
+            m["name"]: compare(values("parent", name, m["name"]),
+                               values("change", name, m["name"]), m)
+            if name in listed["parent"] else
+            {"change": spread(values("change", name, m["name"]), m["better"]),
+             "better": m["better"]}
             for m in spec["end_to_end"]}
     return out
 
