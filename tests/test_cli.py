@@ -434,7 +434,7 @@ class TestExperimentCommand:
         assert bodies[0] == bodies[1]
 
     @pytest.mark.parametrize("flag", [["--q", "0"], ["--q", "1.5"], ["--transient", "-1"]])
-    def test_hitting_ignores_sampling_flags(self, pa_file, tmp_path, capsys, flag):
+    def test_hitting_ignores_sampling_flags(self, pa_file, tmp_path, flag):
         argv = ["experiment", "hitting", pa_file, "--runs", "2", "--alpha", "1"]
         bodies = []
         for extra, name in (([], "plain.csv"), (flag, "flag.csv")):

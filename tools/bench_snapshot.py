@@ -186,6 +186,7 @@ def measure(parent: Path, change: Path, count: int) -> dict:
            "compare": {"startup": {"own_startup_s": compare(own["parent"], own["change"], lower)},
                        "tier1": {"wall_s": compare(*([t["wall_s"] for t in sides[side]["tier1"]]
                                                      for side in SIDES), lower)}}}
+
     def values(side, name, metric):
         return [r["metrics"][metric] for r in sides[side]["workloads"][name]["runs"]]
 
