@@ -20,13 +20,14 @@ Two walks that read the same uniforms meet once both jump at one step
 from nodes of one degree (a coupling under common random numbers), so a
 segment whose guessed walk stands on the exact node at its first step is
 exact from there on; a segment that does not is walked again by _walk,
-on its own uniforms, from the exact node. _segments reports a superblock
-in which too many segments failed, and _moves alone then hands the rest
-of the walk to _walk. A first superblock costs about 4000 scalar steps:
-a stream stopped after 1025 to 4096 steps is slower than on _walk alone
-and a longer one faster (1100 steps on a 1e5-node PA tree at alpha = 2:
-2.4 against 0.6 ms). _moves hands out every block as an int64 array, and
-_visits alone applies the sampling mode, as a keep mask per block.
+on its own uniforms, from the exact node. _moves alone hands the rest of
+the walk to _walk after a superblock in which too many segments failed,
+and all of it at alpha = 0, where no jump couples segments, or where
+_step's int64 casts could overflow; so _step computes only finite values.
+A first superblock costs about 4000 scalar steps, so a stream stopped
+after 1025 to 4096 steps is slower than on _walk alone (see README.md).
+_moves hands out every block as an int64 array, and _visits alone
+applies the sampling mode, as a keep mask per block.
 """
 
 from __future__ import annotations
@@ -178,20 +179,18 @@ def walk_until_hit(g: Graph, cfg: WalkConfig, start: int | None,
 
 
 def _jumps(g: Graph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """pj = alpha/(d + alpha), _walk's float, and 1 - pj for d = 0..g.d_max."""
+    """pj = alpha/(d + alpha), _walk's float, and 1 - pj or 1 if pj = 1, for d = 0..g.d_max."""
     alpha = float(alpha)  # as _walk takes it: an int alpha may not fit int64
-    with np.errstate(divide="ignore", invalid="ignore"):  # nan = 0/0 at d = alpha = 0
-        pj = alpha / (np.arange(g.d_max + 1) + alpha)
-    return pj, 1.0 - pj
+    pj = alpha / (np.arange(g.d_max + 1) + alpha)
+    return pj, np.where(pj < 1.0, 1.0 - pj, 1.0)
 
 
 def _step(cur: np.ndarray, r: np.ndarray, g: Graph, neighbors: np.ndarray,
           jumps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """One step of every walk in cur with uniforms r: the arithmetic of
     _walk's loop, bit for bit, on d from g.degrees and the _jumps tables.
-    Both branches are evaluated for every walk; the caller silences the
-    nan and inf of the branch a walk does not take, and take(mode="clip")
-    keeps its index in range."""
+    Both branches are evaluated for every walk; the rule in _moves keeps
+    both finite and in int64 range, and take(mode="clip") the index."""
     d, lo = g.degrees.take(cur), g.offsets.take(cur)
     pj, qj = jumps[0].take(d), jumps[1].take(d)
     j = ((r - pj) / qj * d).astype(np.int64)
@@ -203,8 +202,8 @@ def _segments(g: Graph, alpha: float, start: int, u: np.ndarray,
               jumps: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, bool]:
     """The nodes that _walk visits from `start` on the move uniforms u, as
     an int64 array, and whether more than _MAX_FAILED of the segments
-    failed. The caller draws u and jumps and, on True, decides where the
-    walk goes.
+    failed. The caller draws u and jumps, the latter only where the rule in
+    _moves lets segments run, and on True decides where the walk goes.
 
     u is cut into at most _SEGMENTS segments of seg >= _WARM steps (32 of
     16384, 64 of 32768). Segment 0 starts at `start`; segment i > 0 starts
@@ -225,13 +224,12 @@ def _segments(g: Graph, alpha: float, start: int, u: np.ndarray,
     nodes = np.empty((count, seg), dtype=np.int64)
     cur = np.full(count, start, dtype=np.int64)
     neighbors = g.neighbors if len(g.neighbors) else np.zeros(1, np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(seg - _WARM, seg):
-            cur[1:] = _step(cur[1:], cols[t, :-1], g, neighbors, jumps)
-        guess = cur.tolist()
-        for t in range(seg):
-            cur = _step(cur, cols[t], g, neighbors, jumps)
-            nodes[:, t] = cur
+    for t in range(seg - _WARM, seg):
+        cur[1:] = _step(cur[1:], cols[t, :-1], g, neighbors, jumps)
+    guess = cur.tolist()
+    for t in range(seg):
+        cur = _step(cur, cols[t], g, neighbors, jumps)
+        nodes[:, t] = cur
     ends = nodes[:, -1].tolist()
     failed = 0
     for i in range(1, count):
@@ -248,14 +246,16 @@ def _moves(g: Graph, alpha: float, rng: np.random.Generator, start: int,
     blocks for the first _SCALAR steps, then superblocks through _segments,
     _SUPER steps and then 2 * _SUPER (the _jumps tables are built before
     the first), and _walk's blocks again once a superblock has too many
-    failed segments; _moves alone makes that switch, and turns _walk's
-    lists into arrays. All of them read rng: _walk through _draws,
-    _segments one superblock at a time, and float64 random() output does
-    not depend on how it is chunked."""
+    failed segments, or at once where the rule below bars segments; _moves
+    alone makes that switch, and turns _walk's lists into arrays. All of
+    them read rng: _walk through _draws, _segments one superblock at a
+    time, and float64 random() output does not depend on how it is chunked."""
     for nodes, base in _walk(g, alpha, _draws(rng, min(max_steps, _SCALAR)), start):
         yield np.array(nodes, dtype=np.int64), base
-    steps, cur, slow, size = base + len(nodes), nodes[-1], False, _SUPER
-    jumps = _jumps(g, alpha) if steps < max_steps else None
+    steps, cur, size = base + len(nodes), nodes[-1], _SUPER
+    # the rule: _step's casts fit int64 (r / pj * n < 2**62, move index >= -alpha * d_max)
+    slow = not (g.n * (g.d_max + alpha) < alpha * 2.0**62 and alpha * g.d_max <= 2.0**62)
+    jumps = None if slow or steps == max_steps else _jumps(g, alpha)
     while steps < max_steps and not slow:
         nodes, slow = _segments(g, alpha, cur, rng.random(min(size, max_steps - steps)), jumps)
         yield nodes, steps

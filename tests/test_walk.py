@@ -341,6 +341,12 @@ def cycle(n):
     return dw.Graph.from_edges(np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1), n=n)
 
 
+def star(leaves):
+    """Node 0 joined to nodes 1..leaves."""
+    edges = np.stack([np.zeros(leaves, np.int64), np.arange(1, leaves + 1)], axis=1)
+    return dw.Graph.from_edges(edges, n=leaves + 1)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSegmentKernel:
     """_segments, and the sample streams built on it, visit the nodes of
@@ -350,10 +356,10 @@ class TestSegmentKernel:
     def pa2000(self):
         return dw.generate_pa(dw.PAConfig(n=2000, edges_per_node=1, seed=3))
 
-    @pytest.mark.parametrize("alpha, slow", [(0.0, 1), (0.05, 1), (2.0, 0)])
+    @pytest.mark.parametrize("alpha, slow", [(0.05, 1), (2.0, 0)])
     def test_pa_graph(self, pa2000, fixups, alpha, slow):
         """A superblock of either size is cut into 512 segments. At alpha =
-        0 and 0.05 most of them fail, and each is walked again; at alpha = 2
+        0.05 most of them fail, and each is walked again; at alpha = 2
         nearly all are accepted."""
         assert walk_mod._SEGMENTS == 512
         for size in (walk_mod._SUPER, 2 * walk_mod._SUPER):
@@ -365,19 +371,25 @@ class TestSegmentKernel:
             if not slow:
                 assert fixups["segment"] < 512 // 8
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-14, 1e-12, 0.05, 0.5, 2.0])
     def test_moves_on_pa_graph(self, pa2000, fixups, alpha):
         """Every block is an int64 array: the two 512-step blocks of the
         scalar phase, the superblocks of _segments, and at small alpha
         _walk's 512-step blocks again: the first superblock has too many
-        failed segments, and _moves calls _segments no more."""
+        failed segments, and _moves calls _segments no more. At alpha = 0,
+        where no jump couples segments, and at 1e-14, where a jump r / pj * n
+        could pass 2**62 (from 3.7e-14 on up it cannot), _moves calls
+        _segments not at all."""
         rng = np.random.default_rng(4)
         blocks = [nodes for nodes, _ in _moves(pa2000, alpha, rng, 0, 60_000)]
         assert all(isinstance(b, np.ndarray) and b.dtype == np.int64 for b in blocks)
         sizes = [len(b) for b in blocks]
         scalar = walk_mod._SCALAR // walk_mod._BLOCK
         assert scalar == 2 and sizes[:scalar] == [walk_mod._BLOCK] * scalar
-        if alpha < 0.5:
+        if alpha < 1e-13:
+            whole, tail = divmod(60_000, walk_mod._BLOCK)
+            assert fixups["superblock"] == 0 and sizes == [walk_mod._BLOCK] * whole + [tail]
+        elif alpha < 0.5:
             assert fixups["superblock"] == fixups["slow"] == 1
             rest = 60_000 - walk_mod._SCALAR - walk_mod._SUPER
             tail = [walk_mod._BLOCK] * (rest // walk_mod._BLOCK) + [rest % walk_mod._BLOCK]
@@ -389,7 +401,7 @@ class TestSegmentKernel:
                                                 None, 0, 60_000)]
         assert np.concatenate(blocks).tolist() == want
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.05, 2.0])
+    @pytest.mark.parametrize("alpha", [0.05, 2.0])
     def test_cycle(self, alpha):
         g = cycle(1000)
         u = np.random.default_rng(2).random(8192)
@@ -397,7 +409,8 @@ class TestSegmentKernel:
 
     def test_isolated_nodes_jump(self):
         """pj = alpha/(0 + alpha) = 1 on an isolated node: every uniform
-        jumps from it, and the move branch divides by 1 - pj = 0."""
+        jumps from it, and the move branch, which divides by the table's
+        1 - pj = 1 there, raises no warning."""
         g = dw.Graph.from_edges(np.array([[0, 1], [1, 2]]), n=50)
         u = np.random.default_rng(3).random(5000)
         assert segments(g, 0.7, 30, u)[0].tolist() == scalar_nodes(g, 0.7, 30, u)
@@ -414,11 +427,12 @@ class TestSegmentKernel:
 
     def test_largest_uniform(self, pa2000):
         """Every uniform is nextafter(1, 0): a move index that rounds up to
-        d is clamped, and a jump from an isolated node stays below n."""
+        d is clamped, and a jump from an isolated node stays below n, also
+        on an edgeless graph of 1e6 nodes, with no warning."""
         u = np.full(3000, np.nextafter(1.0, 0.0))
         path = dw.Graph.from_edges(np.array([[0, 1], [1, 2]]), n=3)
         assert segments(path, 1.5, 1, u)[0].tolist() == scalar_nodes(path, 1.5, 1, u)
-        for g, alpha in ((pa2000, 2.0), (pa2000, 0.0), (cycle(10), 0.3),
+        for g, alpha in ((pa2000, 2.0), (cycle(10), 0.3),
                          (dw.Graph.from_edges(np.empty((0, 2), dtype=np.int64), n=10 ** 6), 1.0)):
             assert segments(g, alpha, 1, u)[0].tolist() == scalar_nodes(g, alpha, 1, u)
 
@@ -456,23 +470,68 @@ class TestSegmentKernel:
         assert [tuple(s) for s in sample_stream(pa2000, cfg)] == reference_stream(pa2000, cfg)
         assert fixups["superblock"] == 0
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.05, 2.0])
+    @pytest.mark.parametrize("alpha", [0.05, 2.0])
     def test_lean_column_at_the_largest_degree(self, alpha):
         """The _jumps tables hold _walk's floats up to the largest degree,
-        the hub's, their last entry; at alpha = 0 the degree-0 entry is nan,
-        and no warning is raised. A walk that visits the hub, on a graph
-        with isolated nodes, steps as _walk does."""
+        the hub's, their last entry; at degree 0 both entries are 1. A walk
+        that visits the hub, on a graph with isolated nodes, steps as _walk
+        does."""
         edges = [(0, i) for i in range(1, 41)] + [(40, 41), (41, 42), (42, 43)]
         g = dw.Graph.from_edges(np.array(edges), n=60)  # 44, ..., 59 isolated
         pj, qj = _jumps(g, alpha)
         assert len(pj) == len(qj) == g.d_max + 1 == 41
         assert pj[1:].tolist() == [alpha / (d + alpha) for d in range(1, 41)]
         assert qj[1:].tolist() == [1.0 - alpha / (d + alpha) for d in range(1, 41)]
-        assert np.isnan(pj[0]) if alpha == 0.0 else pj[0] == 1.0
+        assert pj[0] == qj[0] == 1.0
         u = np.random.default_rng(5).random(5000)
         want = scalar_nodes(g, alpha, 43, u)
-        assert 0 in want and (alpha == 0.0 or max(want) >= 44)
+        assert 0 in want and max(want) >= 44
         assert segments(g, alpha, 43, u)[0].tolist() == want
+
+    def test_jumps_where_alpha_swamps_the_degree(self):
+        """At alpha = 1e20, d + alpha rounds to alpha for d <= 8192, so pj is 1
+        there, and 1 - pj is 1 exactly where pj is 1; above, at the hub of
+        9000 leaves too, pj and 1 - pj are _walk's floats."""
+        pj, qj = _jumps(star(9000), 1e20)
+        assert pj.tolist() == [1e20 / (d + 1e20) for d in range(9001)]
+        one = pj == 1.0
+        assert one[:8193].all() and not one[8193:].any()
+        assert (qj[one] == 1.0).all()
+        assert qj[~one].tolist() == [1.0 - p for p in pj[~one].tolist()]
+
+    def test_segments_at_the_edges_of_the_rule(self, pa2000, fixups):
+        """_moves runs segments from the smallest alpha at which a jump
+        r / pj * n stays below 2**62 (about 3.7e-14 on pa2000), and up to
+        alpha * d_max = 2**62: at 1e16, where pj is 1 at degree 1, but not at
+        1e20. At those alphas _segments is exact, also from the hub on the
+        largest uniform, and raises no warning."""
+        g = pa2000
+        small = g.n * g.d_max / 2.0**62
+        while not small * 2.0**62 > g.n * (g.d_max + small):
+            small = np.nextafter(small, 1.0)
+        for alpha, superblocks in ((np.nextafter(small, 0.0), 0), (small, 1), (1e16, 1),
+                                   (1e20, 0)):
+            fixups["superblock"] = 0
+            list(_moves(g, alpha, np.random.default_rng(2), 0, 2000))
+            assert fixups["superblock"] == superblocks
+        hub = int(np.argmax(g.degrees))
+        largest = np.full(3000, np.nextafter(1.0, 0.0))
+        for alpha in (small, 1e16, 1e20):
+            for u in (np.random.default_rng(8).random(16384), largest):
+                assert segments(g, alpha, hub, u)[0].tolist() == scalar_nodes(g, alpha, hub, u)
+
+    def test_huge_alpha_at_a_large_hub_runs_no_segments(self, fixups):
+        """At alpha = 1e19 a lane that jumps from a hub of degree 2999 would
+        cast a move index near -1e19, past int64 (_step warns of it), so
+        _moves walks the whole stream with _walk."""
+        g = star(2999)
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in cast"):
+            segments(g, 1e19, 0, np.random.default_rng(1).random(16384))
+        got = [nodes for nodes, _ in _moves(g, 1e19, np.random.default_rng(4), 0, 20_000)]
+        assert fixups["superblock"] == 0
+        want = [v for v, _, _ in walk_reference(g, 1e19, np.random.default_rng(4), None, 0,
+                                                20_000)]
+        assert np.concatenate(got).tolist() == want
 
     def test_integer_alpha_walks_as_its_float(self, pa2000):
         """_walk and the _jumps tables both take float(alpha), also for an
