@@ -50,10 +50,12 @@ def _walk_flags(p: argparse.ArgumentParser) -> None:
                    help="cap on raw walk steps")
 
 
+def _is_cache(path: str) -> bool:
+    return str(path).endswith(".npz")
+
+
 def _load_graph(path: str) -> Graph:
-    if str(path).endswith(".npz"):
-        return Graph.load_npz(path)
-    return load_edge_list(path)
+    return Graph.load_npz(path) if _is_cache(path) else load_edge_list(path)
 
 
 def _resolve_alpha(args, g: Graph) -> float:
@@ -100,6 +102,8 @@ def _cmd_generate(args) -> int:
 # -- ingest -------------------------------------------------------------------
 
 def _cmd_ingest(args) -> int:
+    if args.cache and not _is_cache(args.cache):
+        raise UsageError(f"--cache must name a .npz file, got {args.cache!r}")
     g = _load_graph(args.graph)
     if args.cache:
         g.save_npz(args.cache)
@@ -271,7 +275,7 @@ def build_parser() -> _Parser:
     ing.add_argument("--symmetrize", action="store_true",
                      help="accepted for compatibility; has no effect "
                           "(the stored graph is always undirected)")
-    ing.add_argument("--cache", default=None, help="write a binary .npz cache")
+    ing.add_argument("--cache", default=None, help="write a binary cache to this .npz path")
     _common_flags(ing)
     ing.set_defaults(func=_cmd_ingest)
 

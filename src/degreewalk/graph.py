@@ -200,10 +200,10 @@ class Graph:
     # -- binary cache ------------------------------------------------------
 
     def save_npz(self, path) -> None:
-        # uncompressed: writing is ~50x faster than savez_compressed, for a
-        # ~3.3x larger file; load_npz reads both layouts
-        np.savez(path, offsets=self.offsets, neighbors=self.neighbors,
-                 original_ids=self.original_ids)
+        # uncompressed: ~50x faster to write than savez_compressed, ~3.3x
+        # larger. np.savez adds ".npz" to a path, not to an open file
+        with open(path, "wb") as fh:
+            np.savez(fh, **{m: getattr(self, m) for m in _CACHE_MEMBERS})
 
     @classmethod
     def load_npz(cls, path) -> "Graph":
@@ -316,52 +316,49 @@ _COMMENT_LINE = re.compile(rb"\n#[^\n]*")
 _TAB_TO_BLANK = bytes.maketrans(b"\t", b" ")
 
 
-def _parse_edges_fast(data: bytes) -> np.ndarray | None:
+def _parse_edges_fast(text: bytes) -> np.ndarray | None:
     """Parse edge-list bytes in one vectorized pass.
 
     Comment lines must start with '#' in the first column. Ids are plain
     digit runs, padded by tabs, CRLF line ends, extra blanks and blank
-    lines. Returns the (m, 2) int64 edges, or None for any input this pass
-    does not fully validate: non-ASCII bytes, a bare '\\r', any other '#',
-    a byte outside digits and blanks (a sign included), no edges, a line
-    without exactly two ids, or an id outside int64. The line loop decides
-    those, so malformed input keeps its exact line number and a signed id
-    is read as before.
+    lines; the text is rewritten only for the last two. Returns the (m, 2)
+    int64 edges, or None for any input this pass does not fully validate:
+    non-ASCII bytes, a bare '\\r', any other '#', a byte outside digits and
+    blanks (a sign included), no edges, a line without exactly two ids, or
+    an id outside int64. The line loop decides those, so malformed input
+    keeps its exact line number and a signed id is read as before.
     """
-    text = b"\n" + data  # a comment on the first line then also follows "\n"
-    if not text.isascii():
-        return None
-    if b"\r" in text and text.count(b"\r") != text.count(b"\r\n"):
+    if not text.isascii() or (b"\r" in text
+                              and text.count(b"\r") != text.count(b"\r\n")):
         return None
     if b"#" in text:
         text = _COMMENT_LINE.sub(b"", text)
+        if text.startswith(b"#"):  # a comment on the first line
+            text = text.partition(b"\n")[2]
     if not text.endswith(b"\n"):  # else "9 \n1" would pass as one "9 1" line
         text += b"\n"
     edges = _edge_pairs(text)
-    if edges is None:
-        # tabs become blanks. Every '\r' here precedes a '\n', so deleting
-        # it is the same as making it a blank at the end of its line. This
-        # one pass fixes tab-separated and CRLF text without the scans below.
-        text = text.translate(_TAB_TO_BLANK, b"\r")
-        edges = _edge_pairs(text)
     if edges is None:  # runs of blanks, blanks at line ends, blank lines
+        text = text.translate(_TAB_TO_BLANK, b"\r")  # each '\r' ends a line
         while b"  " in text:
             text = text.replace(b"  ", b" ")
         text = text.replace(b" \n", b"\n").replace(b"\n ", b"\n")
         while b"\n\n" in text:
             text = text.replace(b"\n\n", b"\n")
-        return _edge_pairs(text)
+        edges = _edge_pairs(text.lstrip(b" \n"))
     return edges
 
 
 def _edge_pairs(text: bytes) -> np.ndarray | None:
-    """The (m, 2) int64 ids of `text` when it is "\\n" followed by m >= 1
-    lines "u v\\n" of unsigned decimal ids that fit int64, else None. The
-    separators left once the digits are deleted fix the line shape and rule
-    out any other byte; np.fromstring converts the ids."""
-    seps = text.translate(None, _ID_BYTES)
+    """The (m, 2) int64 ids of `text` when it is m >= 1 lines "u v\\n" of
+    unsigned decimal ids that fit int64, with a tab for the blank or a
+    "\\r\\n" end allowed, else None. Every '\\r' must precede a '\\n'. The
+    separators left once digits and '\\r' are deleted and tabs read as blanks
+    fix the line shape and rule out any other byte; np.fromstring, which
+    reads tabs and CRLF ends as separators, converts the ids."""
+    seps = text.translate(_TAB_TO_BLANK, _ID_BYTES + b"\r")
     m = len(seps) // 2
-    if not m or seps != b"\n" + b" \n" * m:
+    if not m or seps != b" \n" * m:
         return None
     with warnings.catch_warnings():
         # on a text it cannot read to its end, numpy 1.x returns what it read

@@ -24,10 +24,9 @@ on its own uniforms, from the exact node. _moves alone hands the rest of
 the walk to _walk after a superblock in which too many segments failed,
 and all of it at alpha = 0, where no jump couples segments, or where
 _step's int64 casts could overflow; so _step computes only finite values.
-A first superblock costs about 4000 scalar steps, so a stream stopped
-after 1025 to 4096 steps is slower than on _walk alone (see README.md).
-_moves hands out every block as an int64 array, and _visits alone
-applies the sampling mode, as a keep mask per block.
+A stream stopped soon after the scalar phase pays for a whole superblock
+and is slower than on _walk alone (see README.md). _moves hands out int64
+blocks, and _visits alone applies the sampling mode, as a mask per block.
 """
 
 from __future__ import annotations

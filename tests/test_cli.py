@@ -339,6 +339,15 @@ class TestGenerateAndIngest:
         out = capsys.readouterr().out
         assert "n=4" in out and "m_edges=3" in out and "d_max=3" in out
 
+    def test_ingest_cache_must_end_in_npz(self, tmp_path, capsys):
+        """detect reads a path as a cache only if it ends in .npz, so ingest
+        rejects any other --cache before the graph is read, writing nothing."""
+        argv = ["ingest", str(tmp_path / "missing.txt"), "--cache", str(tmp_path / "g.cache")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--cache" in err and "missing.txt" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_ingest_symmetrize_flag(self, tmp_path, capsys):
         arcs = tmp_path / "arcs.txt"
         arcs.write_text("0 1\n1 0\n2 0\n")

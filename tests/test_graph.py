@@ -66,12 +66,22 @@ PARSE_CASES = {
     "tab_separated": b"0\t1\n1\t2\n3\t0\n",
     "crlf_tab_separated": b"0\t1\r\n1\t2\r\n",
     "double_blanks": b"0  1\n 1 2 \n\n\n2 \t 3\n",
+    "snap_headers_crlf": b"# Directed graph\r\n# FromNodeId\tToNodeId\r\n0\t1\r\n"
+                         b"# mid\r\n1\t2\r\n",
+    "first_line_comment_tab_no_final_newline": b"# c\n0\t1",
+    "only_comment_no_newline": b"# c",
+    "crlf_blank_at_line_end": b"0 1 \r\n1 2\r\n",
+    "blank_then_tab": b"0 \t1\n",
+    # its separators collapse to " \n \n", but its lines do not hold two ids
+    "three_ids_then_one_id_blank": b"1 2 3\n4 \n",
 }
 
 # well-formed cases the vectorized pass must take on its own
 FAST_CASES = ["snap_headers", "comment_between", "comment_crlf", "leading_zeros",
               "crlf", "blank_and_whitespace_lines", "no_final_newline", "int64_max",
-              "tab_separated", "crlf_tab_separated", "double_blanks"]
+              "tab_separated", "crlf_tab_separated", "double_blanks",
+              "snap_headers_crlf", "first_line_comment_tab_no_final_newline",
+              "crlf_blank_at_line_end", "blank_then_tab"]
 
 # the bytes the vectorized pass accepts, a comment mark, a stray letter and
 # the ids at the int64 edge, drawn into a few short lines
@@ -192,6 +202,11 @@ class TestLoadEdgeList:
         path.write_bytes(data)
         assert_parses_as_line_loop(path)
 
+    @pytest.mark.parametrize("text", [b"0\t1\n2\t3\n", b"0 1\r\n2 3\r\n", b"0\t1\r\n2 3\n"])
+    def test_tabs_and_crlf_pass_the_separator_check(self, text):
+        """Only blank layouts are rewritten; tab and CRLF text is read as is."""
+        assert graph_mod._edge_pairs(text).tolist() == [[0, 1], [2, 3]]
+
     @pytest.mark.parametrize("case", FAST_CASES)
     def test_well_formed_input_skips_line_loop(self, case, tmp_path, monkeypatch):
         path = tmp_path / "edges.txt"
@@ -279,6 +294,15 @@ class TestBinaryCache:
         assert np.array_equal(g.original_ids, g2.original_ids)
         with zipfile.ZipFile(path) as zf:
             assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_writes_exactly_the_path_given(self, tmp_path):
+        """np.savez adds ".npz" to a path without it; save_npz does not."""
+        g = random_connected_graph(50, 3.0, seed=2)
+        g.save_npz(tmp_path / "g.cache")
+        assert [p.name for p in tmp_path.iterdir()] == ["g.cache"]
+        g2 = dw.Graph.load_npz(tmp_path / "g.cache")
+        for name in ("offsets", "neighbors", "original_ids"):
+            assert np.array_equal(getattr(g2, name), getattr(g, name)), name
 
     @pytest.mark.parametrize("case", sorted(CORRUPT_CACHES))
     def test_corrupt_cache_rejected(self, case, tmp_path):
