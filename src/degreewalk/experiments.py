@@ -9,14 +9,13 @@ from __future__ import annotations
 import datetime as _dt
 import operator
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
 from .analytics import expected_correct_count, stationary
 from .detector import check_rule_threshold, check_sampling, detect_with_rule
 from .graph import Graph, check_k, exact_top_k
-from .walk import WalkConfig, sample_stream, walk_until_hit
+from .walk import WalkConfig, _visits, walk_until_hit
 
 
 def _check_runs(runs: int) -> None:
@@ -109,16 +108,21 @@ def run_accuracy_curve(g: Graph, plan: AccuracyCurvePlan):
     probabilities.
     """
     true_nodes = [r.node for r in exact_top_k(g, plan.k)]
-    true_set = set(true_nodes)
+    top = np.isin(np.arange(g.n), true_nodes)  # the true top-k as a mask
     pis = stationary(g, plan.walk.alpha).probs[true_nodes]
     grid = plan.m_grid
 
     def one(trial: int):
         cfg = replace(plan.walk, seed=(plan.master_seed, trial))
         first: dict[int, int] = {}  # true top-k node -> 1-based first sample
-        for m, s in enumerate(islice(sample_stream(g, cfg), grid[-1]), start=1):
-            if s.node in true_set:
-                first.setdefault(s.node, m)
+        samples = 0
+        for nodes, kept, _ in _visits(g, cfg) if grid[-1] else ():
+            at = samples + np.cumsum(kept)  # samples up to each step
+            for i in np.flatnonzero(kept & top[nodes]).tolist():
+                first.setdefault(int(nodes[i]), int(at[i]))
+            samples = int(at[-1])
+            if samples >= grid[-1]:
+                break
         return [sum(f <= m for f in first.values()) for m in grid]
 
     per_trial = np.array([one(t) for t in range(plan.runs)], dtype=np.float64)

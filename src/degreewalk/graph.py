@@ -319,14 +319,15 @@ _TAB_TO_BLANK = bytes.maketrans(b"\t", b" ")
 def _parse_edges_fast(text: bytes) -> np.ndarray | None:
     """Parse edge-list bytes in one vectorized pass.
 
-    Comment lines must start with '#' in the first column. Ids are plain
-    digit runs, padded by tabs, CRLF line ends, extra blanks and blank
-    lines; the text is rewritten only for the last two. Returns the (m, 2)
-    int64 edges, or None for any input this pass does not fully validate:
-    non-ASCII bytes, a bare '\\r', any other '#', a byte outside digits and
-    blanks (a sign included), no edges, a line without exactly two ids, or
-    an id outside int64. The line loop decides those, so malformed input
-    keeps its exact line number and a signed id is read as before.
+    Takes m >= 1 lines "u v" of unsigned decimal ids that fit int64, with
+    one blank or tab between the ids, LF or CRLF ends (mixed ones too),
+    comment lines with '#' in the first column and a missing final newline,
+    and returns their (m, 2) int64 edges. Returns None for any other text:
+    non-ASCII bytes, a bare '\\r', any other '#', runs of blanks, blanks at
+    line ends, blank lines, a byte outside digits and separators (a sign
+    included), a line without exactly two ids, or an id outside int64. The
+    line loop decides those, so malformed input keeps its exact line number
+    and a signed id or a blank layout is read as before.
     """
     if not text.isascii() or (b"\r" in text
                               and text.count(b"\r") != text.count(b"\r\n")):
@@ -337,25 +338,9 @@ def _parse_edges_fast(text: bytes) -> np.ndarray | None:
             text = text.partition(b"\n")[2]
     if not text.endswith(b"\n"):  # else "9 \n1" would pass as one "9 1" line
         text += b"\n"
-    edges = _edge_pairs(text)
-    if edges is None:  # runs of blanks, blanks at line ends, blank lines
-        text = text.translate(_TAB_TO_BLANK, b"\r")  # each '\r' ends a line
-        while b"  " in text:
-            text = text.replace(b"  ", b" ")
-        text = text.replace(b" \n", b"\n").replace(b"\n ", b"\n")
-        while b"\n\n" in text:
-            text = text.replace(b"\n\n", b"\n")
-        edges = _edge_pairs(text.lstrip(b" \n"))
-    return edges
-
-
-def _edge_pairs(text: bytes) -> np.ndarray | None:
-    """The (m, 2) int64 ids of `text` when it is m >= 1 lines "u v\\n" of
-    unsigned decimal ids that fit int64, with a tab for the blank or a
-    "\\r\\n" end allowed, else None. Every '\\r' must precede a '\\n'. The
-    separators left once digits and '\\r' are deleted and tabs read as blanks
-    fix the line shape and rule out any other byte; np.fromstring, which
-    reads tabs and CRLF ends as separators, converts the ids."""
+    # the separators left once digits and '\r' are deleted and tabs read as
+    # blanks fix the line shape and rule out any other byte; np.fromstring,
+    # which reads tabs and CRLF ends as separators, converts the ids
     seps = text.translate(_TAB_TO_BLANK, _ID_BYTES + b"\r")
     m = len(seps) // 2
     if not m or seps != b" \n" * m:
@@ -382,8 +367,10 @@ def _edge_pairs(text: bytes) -> np.ndarray | None:
 def load_edge_list(path) -> Graph:
     """Read an edge-list file; the format is that of `ingest_edge_list`.
 
-    Well-formed files, whole-line '#' comments included, take one vectorized
-    pass; anything else goes through the `ingest_edge_list` line loop.
+    Files of "u v" lines with one blank or tab between the ids, LF or CRLF
+    ends and '#' comment lines take one vectorized pass; anything else, runs
+    of blanks and blank lines included, goes through the `ingest_edge_list`
+    line loop.
     """
     with open(path, "rb") as fh:
         edges = _parse_edges_fast(fh.read())

@@ -45,6 +45,21 @@ class TestCompare:
         assert not tool.compare(parent, [x - 2 for x in parent], LOWER)["beyond_parent_iqr"]
         assert tool.compare(parent, [x - 2.5 for x in parent], LOWER)["beyond_parent_iqr"]
 
+    @pytest.mark.parametrize("metric", [LOWER, HIGHER])
+    def test_claim_met(self, tool, metric):
+        parent = [10.0 + i for i in range(10)]  # quartile distance 4.5
+        sign = -1 if metric is LOWER else 1
+        better = [x + sign * 10 for x in parent]
+        assert tool.compare(parent, better, metric)["claim_met"]
+        nine = better[:9] + [parent[9] - sign]  # 9 of 10 wins
+        assert tool.compare(parent, nine, metric)["claim_met"]
+        eight = better[:8] + [parent[8] - sign, parent[9]]  # 8 wins, a loss, a tie
+        assert tool.compare(parent, eight, metric)["change_wins"] == 8
+        assert not tool.compare(parent, eight, metric)["claim_met"]
+        worse = [x - sign * 5 for x in parent]
+        assert tool.compare(parent, worse, metric)["beyond_parent_iqr"]
+        assert not tool.compare(parent, worse, metric)["claim_met"]
+
     def test_unresolved_when_the_parent_spreads_past_the_bound(self, tool):
         parent = [6.0, 8.0, 10.0, 12.0, 14.0]  # relative quartile distance 0.4
         overlap = [7.0, 9.0, 11.0, 13.0, 15.0]

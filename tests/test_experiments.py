@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import degreewalk as dw
+from degreewalk import experiments
 from degreewalk.experiments import (AccuracyCurvePlan, HittingTimePlan,
                                     StoppingEvalPlan, read_csv_body,
                                     run_accuracy_curve, run_hitting_time,
@@ -55,6 +56,15 @@ class TestAccuracyCurve:
         rows, _ = run_accuracy_curve(star4, plan)
         m0 = rows[0]
         assert m0[0] == 0 and m0[1] == 0.0 and m0[3] == 0.0 and m0[4] == 0.0
+
+    def test_grid_ending_at_zero_walks_no_step(self, star4, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walked for a grid that ends at 0")
+
+        monkeypatch.setattr(experiments, "_visits", no_walk)
+        plan = AccuracyCurvePlan(walk=WalkConfig(alpha=1.0, seed=0), k=1, m_grid=(0,),
+                                 runs=3)
+        assert [row[:2] for row in run_accuracy_curve(star4, plan)[0]] == [(0, 0.0)]
 
     def test_star_curve_matches_closed_form(self, star4):
         cfg = WalkConfig(alpha=1.0, seed=0, max_steps=200_000,

@@ -74,14 +74,22 @@ PARSE_CASES = {
     "blank_then_tab": b"0 \t1\n",
     # its separators collapse to " \n \n", but its lines do not hold two ids
     "three_ids_then_one_id_blank": b"1 2 3\n4 \n",
+    # with digits and '\r' deleted both leave " \n \n", but the bare '\r'
+    # ends line 2 after one id
+    "cr_after_blank": b"0 1\n5 \r1\n",
+    "crlf_cr_after_blank": b"0 1\r\n5 \r1\r\n",
 }
 
-# well-formed cases the vectorized pass must take on its own
+# the vectorized pass takes "u v" lines with one blank or tab between the
+# ids, LF or CRLF ends, first-column '#' comments and a missing final newline
 FAST_CASES = ["snap_headers", "comment_between", "comment_crlf", "leading_zeros",
-              "crlf", "blank_and_whitespace_lines", "no_final_newline", "int64_max",
-              "tab_separated", "crlf_tab_separated", "double_blanks",
-              "snap_headers_crlf", "first_line_comment_tab_no_final_newline",
-              "crlf_blank_at_line_end", "blank_then_tab"]
+              "crlf", "no_final_newline", "int64_max", "tab_separated",
+              "crlf_tab_separated", "snap_headers_crlf",
+              "first_line_comment_tab_no_final_newline"]
+
+# well-formed blank layouts that the vectorized pass leaves to the line loop
+BLANK_LAYOUT_CASES = ["blank_and_whitespace_lines", "double_blanks",
+                      "crlf_blank_at_line_end", "blank_then_tab"]
 
 # the bytes the vectorized pass accepts, a comment mark, a stray letter and
 # the ids at the int64 edge, drawn into a few short lines
@@ -204,8 +212,11 @@ class TestLoadEdgeList:
 
     @pytest.mark.parametrize("text", [b"0\t1\n2\t3\n", b"0 1\r\n2 3\r\n", b"0\t1\r\n2 3\n"])
     def test_tabs_and_crlf_pass_the_separator_check(self, text):
-        """Only blank layouts are rewritten; tab and CRLF text is read as is."""
-        assert graph_mod._edge_pairs(text).tolist() == [[0, 1], [2, 3]]
+        assert graph_mod._parse_edges_fast(text).tolist() == [[0, 1], [2, 3]]
+
+    @pytest.mark.parametrize("case", BLANK_LAYOUT_CASES)
+    def test_blank_layouts_go_to_the_line_loop(self, case):
+        assert graph_mod._parse_edges_fast(PARSE_CASES[case]) is None
 
     @pytest.mark.parametrize("case", FAST_CASES)
     def test_well_formed_input_skips_line_loop(self, case, tmp_path, monkeypatch):

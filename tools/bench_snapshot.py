@@ -30,10 +30,13 @@ metric, own start-up and tier-1 wall time, each side's best, median and
 quartiles (inclusive method, as numpy's default percentile) with the
 relative quartile distance (q3 - q1) / median, the pairs the change wins
 (a tie counts for neither side), the relative change of the medians,
-whether it exceeds the parent's quartile distance, and the bound. A metric
-is `unresolved` when the parent's relative quartile distance is wider than
-its bound, unless every change run is better than every parent run: the
-pairs then cannot tell a change within the bound from the host's spread.
+whether it exceeds the parent's quartile distance, whether a gain claim
+is met (the change wins at least nine tenths of the pairs and its median
+is better than the parent's by more than that distance), and the bound.
+A metric is `unresolved` when the parent's relative quartile distance is
+wider than its bound, unless every change run is better than every parent
+run: the pairs then cannot tell a change within the bound from the host's
+spread.
 The script prints one line per figure.
 """
 
@@ -123,10 +126,12 @@ def compare(parent: list[float], change: list[float], metric: dict) -> dict:
     sign = 1 if metric["better"] == "higher" else -1
     beats = min(sign * y for y in change) > max(sign * x for x in parent)
     bound = metric["bound"]
-    return {"parent": a, "change": b,
-            "change_wins": sum(sign * (y - x) > 0 for x, y in zip(parent, change)),
+    wins = sum(sign * (y - x) > 0 for x, y in zip(parent, change))
+    iqr = a["q3"] - a["q1"]
+    return {"parent": a, "change": b, "change_wins": wins,
             "median_change": (b["median"] - a["median"]) / a["median"] if a["median"] else None,
-            "beyond_parent_iqr": abs(b["median"] - a["median"]) > a["q3"] - a["q1"],
+            "beyond_parent_iqr": abs(b["median"] - a["median"]) > iqr,
+            "claim_met": 10 * wins >= 9 * len(parent) and sign * (b["median"] - a["median"]) > iqr,
             "unresolved": bound is not None and a["rel_iqr"] > bound and not beats,
             "better": metric["better"], "bound": bound}
 
@@ -203,7 +208,8 @@ def measure(parent: Path, change: Path, count: int) -> dict:
 
 def report(out: dict) -> list[str]:
     """One line per compared figure: medians, change, wins, each side's
-    relative quartile distance, the bound and the verdict."""
+    relative quartile distance, the bound and the verdict, and for a
+    bounded metric whether a gain claim is met."""
     lines = []
     for group, metrics in out["compare"].items():
         for name, c in metrics.items():
@@ -218,6 +224,8 @@ def report(out: dict) -> list[str]:
                        else f"{'beyond' if c['beyond_parent_iqr'] else 'within'} parent iqr"
                        if c["bound"] is None
                        else "PAST BOUND" if worse and abs(rel) > c["bound"] else "within bound")
+            if c["bound"] is not None:
+                verdict += f", claim {'met' if c['claim_met'] else 'not met'}"
             lines.append(f"{group:16s} {name:22s} {a['median']:12.6g} -> {b['median']:12.6g}"
                          f" {rel:+7.1%} wins {c['change_wins']:2d}/{out['pairs']}"
                          f" iqr {a['rel_iqr']:6.1%}/{b['rel_iqr']:6.1%}"
