@@ -25,9 +25,6 @@ _MAX_NODES = math.isqrt(_INT64_MAX)
 _CACHE_MEMBERS = ("offsets", "neighbors", "original_ids")
 # edges formatted per numpy pass by Graph.to_edge_lines
 _EDGE_CHUNK = 2 ** 16
-# 10**1 up to the largest power of ten each digit type holds
-_POW10 = {t: 10 ** np.arange(1, len(str(np.iinfo(t).max)), dtype=t)
-          for t in (np.uint32, np.uint64)}
 
 
 class EdgeListParseError(ValueError):
@@ -235,9 +232,8 @@ def _edge_text(pairs: np.ndarray, udt: type) -> str:
     exactly as str() writes it. Digits are taken with udt (np.uint32 or
     np.uint64) arithmetic, which must hold every id."""
     mag = pairs.ravel().astype(udt)
-    width = np.searchsorted(_POW10[udt], mag, side="right") + 1
-    w = int(width.max())
-    # one row per id: right-aligned in w columns, then its separator
+    w = len(str(mag.max()))
+    # one row per id: right-aligned and NUL-padded in w columns, then its separator
     rows = np.empty((len(mag), w + 1), dtype=np.uint8)
     rows[0::2, w] = ord(" ")
     rows[1::2, w] = ord("\n")
@@ -245,12 +241,10 @@ def _edge_text(pairs: np.ndarray, udt: type) -> str:
     for j in range(w - 1, -1, -1):
         quot = mag // ten
         np.add(mag - quot * ten, ord("0"), out=rows[:, j], casting="unsafe")
+        if j < w - 1:
+            rows[mag == 0, j] = 0
         mag = quot
-    lead = w - width
-    # row i keeps columns lead[i]..w: one take from a (w+1)^2 table is ~4x
-    # faster than broadcasting the comparison over rows of w+1 bytes
-    cols = np.arange(w + 1)
-    return rows[(cols >= cols[:, None]).take(lead, axis=0)].tobytes().decode("ascii")
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def ingest_edge_list(lines: Iterable[str]) -> Graph:
