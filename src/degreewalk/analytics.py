@@ -9,6 +9,7 @@ the Poisson machinery behind the stopping rules.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,22 +44,22 @@ def stationary(g: Graph, alpha: float) -> StationaryDist:
     check_alpha(alpha)
     if alpha == 0.0 and (g.n == 0 or g.degrees.min() == 0):
         raise ValueError("alpha=0 with an isolated node: stationary law undefined")
-    denom = 2.0 * g.m_edges + g.n * alpha
-    return StationaryDist(alpha, (g.degrees + alpha) / denom)
+    e = math.frexp(g.d_max + alpha)[1]  # units of 2**e > d_max + alpha: exact, and finite
+    denom = math.ldexp(2.0 * g.m_edges, -e) + g.n * math.ldexp(alpha, -e)
+    return StationaryDist(alpha, np.ldexp(g.degrees + alpha, -e) / denom)
 
 
 def jump_probability(g: Graph, alpha: float) -> float:
     """Steady-state probability that a step is a jump: n*alpha/(2|E|+n*alpha)."""
     check_alpha(alpha)
-    if alpha == 0.0:
-        return 0.0
-    return g.n * alpha / (2.0 * g.m_edges + g.n * alpha)
+    e = math.frexp(g.d_max + alpha)[1]  # units of 2**e, as in stationary
+    jumps = g.n * math.ldexp(alpha, -e)
+    return jumps / (math.ldexp(2.0 * g.m_edges, -e) + jumps) if alpha else 0.0
 
 
 def expected_return_time_max(g: Graph, alpha: float) -> float:
     """Expected return time to the largest-degree node, 1/pi_max."""
-    pi = stationary(g, alpha)
-    return 1.0 / pi.max_prob()
+    return 1.0 / stationary(g, alpha).max_prob()
 
 
 def return_time_from_constants(n: float, avg_degree: float, alpha: float,
@@ -146,9 +147,9 @@ def hitting_time_asymptotic(g: Graph, alpha: float) -> float:
     if g.n < 2:
         raise ValueError("need at least 2 nodes")
     top = exact_top_k(g, 1)[0]
-    num = float(g.degrees.sum() - top.degree) + (g.n - 1) * alpha
-    den = top.degree + 2.0 * alpha * (1.0 - 1.0 / g.n)
-    return num / den
+    e = math.frexp(g.d_max + alpha)[1]  # units of 2**e, as in stationary
+    rest, d, a = np.ldexp([g.degrees.sum() - top.degree, top.degree, alpha], -e).tolist()
+    return (rest + (g.n - 1) * a) / (d + 2.0 * a * (1.0 - 1.0 / g.n))
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,8 @@ def evt_predict(tail: ParetoTail, n: int, k: int,
     if gamma <= 1.0:
         raise ValueError(f"gamma must be > 1 (finite mean), got {gamma}")
     check_k(k, n)
+    if not n <= sys.float_info.max:
+        raise ValueError(f"n must be at most the largest float, got {n}")
     if max_variant not in _MAX_VARIANTS:
         raise ValueError(f"max_variant must be one of {_MAX_VARIANTS}")
     delta = 1.0 / gamma

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import insort
 from dataclasses import dataclass
 
@@ -145,17 +146,18 @@ def stopping_rule_0(lst: CandidateList, a_bar: float) -> bool:
 
 
 def check_rule_threshold(rule: str, threshold: float, k: int) -> None:
-    """check_k(k), then ValueError unless `rule` is one of _RULES and the
-    threshold suits it: m (fixed) must be an integer >= 1 (TypeError if it
-    is no integer), a_bar (r0, r1) must lie in (0, 2), as the error scores
-    lie in [0, 2], and b_bar (r2) must be finite and at most k, as
-    coverage sums k terms of at most 1."""
+    """check_k(k), then ValueError unless `rule` is one of _RULES and the threshold
+    suits it: m (fixed) must be an integer in [1, float max] (TypeError if it is no
+    integer), a_bar (r0, r1) must lie in (0, 2), as the error scores lie in [0, 2],
+    and b_bar (r2) must be finite and at most k, as coverage sums k terms of at most 1."""
     check_k(k)
     if rule not in _RULES:
         raise ValueError(f"rule must be one of {tuple(_RULES)}, got {rule!r}")
     if rule == "fixed":
         if operator.index(threshold) < 1:
             raise ValueError(f"m must be >= 1, got {threshold}")
+        if threshold > sys.float_info.max:
+            raise ValueError(f"m must be at most the largest float, got {threshold}")
     elif rule == "r2":
         if not math.isfinite(threshold):
             raise ValueError(f"b_bar must be finite, got {threshold}")
@@ -230,12 +232,12 @@ def detect_with_rule(g: Graph, cfg: WalkConfig, k: int, rule: str,
     step is a non-member that cannot enter: it would change nothing.
     """
     check_rule_threshold(rule, threshold, k)
+    lst = CandidateList(check_k(k, g.n))
     fires, budget = _RULES[rule], None
     if rule == "fixed":
         rule, budget, threshold = "fixed_m", threshold, float(threshold)
     elif rule == "r1":
         threshold = float(rule1_threshold(k, threshold))
-    lst = CandidateList(check_k(k, g.n))
     check_sampling(cfg.mode, cfg.max_steps)
     if fires is not None and fires(lst, threshold):
         return StopDecision(rule, threshold, True, 0, 0, lst)

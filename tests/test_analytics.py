@@ -57,6 +57,7 @@ class TestStationary:
         g = random_connected_graph(80, 5.0, seed=2)
         for alpha in (0.3, g.average_degree(), 9.0):
             pi = stationary(g, alpha).probs
+            assert np.array_equal(pi, (g.degrees + alpha) / (2.0 * g.m_edges + g.n * alpha))
             assert abs(pi.sum() - 1.0) < 1e-12
             order = np.argsort(g.degrees)
             assert np.all(np.diff(pi[order]) >= -1e-18)
@@ -66,6 +67,20 @@ class TestStationary:
         with pytest.raises(ValueError, match="isolated"):
             stationary(g, 0.0)
         assert stationary(g, 0.5).probs.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("alpha", [1e308, 1.7e308])
+    def test_alpha_past_float_overflow_gives_the_uniform_limit(self, alpha):
+        """n * alpha overflows a float, yet every closed form stays finite:
+        pi is uniform, every step jumps, and a return takes n steps."""
+        g = random_connected_graph(80, 5.0, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pi = stationary(g, alpha).probs
+            values = [jump_probability(g, alpha), expected_return_time_max(g, alpha),
+                      hitting_time_asymptotic(g, alpha)]
+        assert np.isfinite(pi).all() and pi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert pi == pytest.approx(1.0 / g.n, rel=1e-12)
+        assert values == pytest.approx([1.0, g.n, g.n / 2], rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_bad_alpha_rejected(self, star4, alpha):
@@ -278,6 +293,10 @@ class TestEvtPredict:
     def test_non_integer_rank_rejected(self):
         with pytest.raises(TypeError):
             evt_predict(PA_TAIL, 1000, 2.5)
+
+    def test_n_past_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="n must be at most the largest float"):
+            evt_predict(PA_TAIL, 10 ** 309, 5)
 
     def test_rank_below_one_rejected(self):
         with pytest.raises(ValueError, match="rank must be >= 1, got 0"):

@@ -2,11 +2,13 @@
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_snapshot.py"
+SRC = Path(__file__).resolve().parent.parent / "src" / "degreewalk"
 
 
 @pytest.fixture(scope="module")
@@ -131,4 +133,50 @@ class TestMeasure:
         assert out["compare"]["a"]["op_p50_ms"]["change_wins"] == 0
         assert out["compare"]["tier1"]["wall_s"]["change_wins"] == 0
         assert "parent" not in out["compare"]["new"]["op_p50_ms"]
-        assert len(tool.report(out)) == 4
+        assert len(tool.report(out)) == 5  # 3 compared figures, 1 change-only, src_lines
+        out["in_process"] = {"passes": 12, "change_wins": 7,
+                             "ratio": {"median": 0.99, "q1": 0.98, "q3": 1.01}}
+        assert tool.report(out)[-1].split()[-8:] == [
+            "median", "0.990", "q1", "0.980", "q3", "1.010", "wins", "7/12"]
+
+
+def _copy_src(root: Path) -> Path:
+    """A checkout at root holding a copy of this tree's src/degreewalk."""
+    shutil.copytree(SRC, root / "src" / "degreewalk",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+class TestInProcess:
+    def test_two_copies_load_as_distinct_modules_that_agree(self, tool, tmp_path):
+        roots = [_copy_src(tmp_path / side) for side in ("a", "b")]
+        libs = [tool.load_package(root / "src" / "degreewalk", f"degreewalk_copy_{root.name}")
+                for root in roots]
+        a, b = libs
+        assert a is not b and a.detector is not b.detector and a.Graph is not b.Graph
+        for lib, root in zip(libs, roots):
+            assert Path(lib.detector.__file__).parent == root / "src" / "degreewalk"
+        g = a.generate_pa(a.PAConfig(n=2000, seed=3))
+        got = []
+        for lib in libs:
+            graph = lib.Graph(g.offsets.copy(), g.neighbors.copy(), g.original_ids.copy())
+            cfg = lib.WalkConfig(alpha=2.0, seed=5, mode=lib.Thinned(transient=100, q=0.5))
+            dec = lib.detector.detect_with_rule(graph, cfg, 10, "r2", 7.0)
+            got.append((dec.fired, dec.fired_at_samples, dec.raw_steps, dec.final_list.entries()))
+        assert got[0] == got[1] and got[0][0]
+
+    def test_byte_identical_trees_skip(self, tool, tmp_path):
+        parent, change = (_copy_src(tmp_path / side) for side in ("parent", "change"))
+        assert tool.in_process(parent, change) == {
+            "skipped": "src/degreewalk is byte-identical on both sides"}
+
+    def test_a_changed_signature_skips(self, tool, tmp_path):
+        parent, change = (_copy_src(tmp_path / side) for side in ("parent", "change"))
+        detector = change / "src" / "degreewalk" / "detector.py"
+        text = detector.read_text()
+        assert text.count("threshold: float) -> StopDecision:") == 1
+        detector.write_text(text.replace("threshold: float) -> StopDecision:",
+                                         "threshold: float, stats: bool) -> StopDecision:"))
+        out = tool.in_process(parent, change)
+        assert list(out) == ["skipped"]
+        assert out["skipped"].startswith("change: ") and "TypeError" in out["skipped"]

@@ -360,6 +360,13 @@ class TestDetection:
         with pytest.raises(ValueError, match="m must be >= 1, got 0"):
             detect_fixed_m_decision(star4, WalkConfig(alpha=1.0, seed=0), 2, 0)
 
+    @pytest.mark.parametrize("rule, k, threshold, message", [
+        ("fixed", 2, 10 ** 309, "m must be at most the largest float"),
+        ("r1", 10 ** 309, 0.5, "exceeds node count")])
+    def test_integer_past_the_float_range_rejected(self, star4, rule, k, threshold, message):
+        with pytest.raises(ValueError, match=message):
+            detect_with_rule(star4, WalkConfig(alpha=1.0, seed=0), k, rule, threshold)
+
     def test_fixed_m_float_rejected_before_walking(self, monkeypatch):
         """A float m raises TypeError before the walk takes a step."""
         g = dw.generate_pa(dw.PAConfig(n=2000, seed=3))

@@ -21,6 +21,19 @@ time. In each pair the two sides take every figure in turn:
 No run is dropped and no pair is re-seeded. After the pairs each side runs
 each workload once traced (`--trace 1`, seed 1) for its per-layer metrics.
 
+Then one process times the library alone, where process pairs spread too
+widely to resolve a few percent. It imports both sides' src/degreewalk
+under two package names and gives each side its own Graph, built from
+copies of the arrays of the 1e5-node query_mix_100k graph. Each of 12
+passes runs that workload's 60 corpus queries, with the kinds and walk
+seeds bench/workloads.py gives them, in a seeded shuffled order; each query
+runs on both sides back to back, a seeded coin picking the side that goes
+first. Both sides must return equal fired, fired_at_samples, raw_steps and
+entries(), or the stage fails. It records, per pass, the change's summed
+op time over the parent's, their median and quartiles, and the passes the
+change wins; or why it skipped: src/degreewalk is byte-identical on both
+sides, or a side's call raised TypeError (a changed signature).
+
 The BENCH file, kept at the root of this checkout, holds for each side its
 git source, src_lines (`wc -l src/degreewalk/*.py`), machine, every run's
 end-to-end metrics, correct, failed and calibration_ms, every start-up
@@ -36,13 +49,15 @@ is better than the parent's by more than that distance), and the bound.
 A metric is `unresolved` when the parent's relative quartile distance is
 wider than its bound, unless every change run is better than every parent
 run: the pairs then cannot tell a change within the bound from the host's
-spread.
-The script prints one line per figure.
+spread. `in_process` holds the in-process stage.
+The script prints one line per figure, and exits with 1 if the in-process
+stage failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -52,8 +67,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PASSES = 12
 
 
 def run_bench(root: Path, command: list[str], workload: str, seconds: float,
@@ -206,10 +224,82 @@ def measure(parent: Path, change: Path, count: int) -> dict:
     return out
 
 
+def load_package(src: Path, name: str):
+    """Import the package in directory `src` as `name`. Its relative imports
+    resolve under that name, so two trees of one package can be loaded side
+    by side; a package loaded earlier under `name` is replaced whole."""
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def in_process(parent: Path, change: Path) -> dict:
+    """The in-process stage (see the module docstring): a dict of the
+    per-pass time ratios and their spread, {"skipped": why} or
+    {"failed": the first query whose outputs differ}."""
+    roots = dict(zip(SIDES, (parent, change)))
+    trees = {side: {p.name: p.read_bytes() for p in (root / "src" / "degreewalk").glob("*.py")}
+             for side, root in roots.items()}
+    if trees["parent"] == trees["change"]:
+        return {"skipped": "src/degreewalk is byte-identical on both sides"}
+    for path in (HERE / "bench", HERE / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import workloads
+    from tracing import NullTracer
+
+    wl = workloads.QueryMix(1, Path("."), NullTracer())
+    g = wl.generate()
+    libs = {side: load_package(root / "src" / "degreewalk", f"degreewalk_{side}")
+            for side, root in roots.items()}
+    graphs = {side: lib.Graph(g.offsets.copy(), g.neighbors.copy(), g.original_ids.copy())
+              for side, lib in libs.items()}
+    calls = {side: [] for side in SIDES}
+    for j in range(wl.corpus):
+        query = workloads.QUERIES[wl.block[j % len(wl.block)]]
+        threshold = int(query.threshold) if query.rule == "fixed" else query.threshold
+        for side, lib in libs.items():
+            mode = getattr(lib.walk, type(query.mode).__name__)(**vars(query.mode))
+            cfg = lib.WalkConfig(alpha=workloads.ALPHA, seed=wl.entry_seed(j), mode=mode)
+            calls[side].append((f"{query.kind} entry {j}", lib.detector.detect_with_rule,
+                                (graphs[side], cfg, query.k, query.rule, threshold)))
+    rng = np.random.default_rng(1)
+    spent = {side: [] for side in SIDES}
+    for _ in range(PASSES):
+        total = dict.fromkeys(SIDES, 0.0)
+        for j in rng.permutation(wl.corpus).tolist():
+            got = {}
+            for side in (SIDES if rng.random() < 0.5 else SIDES[::-1]):
+                label, fn, args = calls[side][j]
+                start = time.perf_counter()
+                try:
+                    dec = fn(*args)
+                except TypeError as exc:
+                    return {"skipped": f"{side}: {label}: TypeError: {exc}"}
+                total[side] += time.perf_counter() - start
+                got[side] = (dec.fired, dec.fired_at_samples, dec.raw_steps,
+                             dec.final_list.entries())
+            if got["parent"] != got["change"]:
+                return {"failed": f"{label}: parent {got['parent'][:3]}, "
+                                  f"change {got['change'][:3]}, or their entries differ"}
+        for side in SIDES:
+            spent[side].append(total[side])
+    ratios = [c / p for p, c in zip(spent["parent"], spent["change"])]
+    return {"passes": PASSES, "queries": wl.corpus, "seconds": spent,
+            "ratios": ratios, "ratio": spread(ratios, "lower"),
+            "change_wins": sum(r < 1.0 for r in ratios)}
+
+
 def report(out: dict) -> list[str]:
     """One line per compared figure: medians, change, wins, each side's
     relative quartile distance, the bound and the verdict, and for a
-    bounded metric whether a gain claim is met."""
+    bounded metric whether a gain claim is met; then each side's src_lines
+    and the in-process stage, if it ran."""
     lines = []
     for group, metrics in out["compare"].items():
         for name, c in metrics.items():
@@ -230,6 +320,16 @@ def report(out: dict) -> list[str]:
                          f" {rel:+7.1%} wins {c['change_wins']:2d}/{out['pairs']}"
                          f" iqr {a['rel_iqr']:6.1%}/{b['rel_iqr']:6.1%}"
                          f" bound {c['bound'] if c['bound'] is not None else '-'} {verdict}")
+    lines.append(f"{'src_lines':39s} {out['sides']['parent']['src_lines']:12d} ->"
+                 f" {out['sides']['change']['src_lines']:12d}")
+    stage = out.get("in_process", {})
+    if "ratio" in stage:
+        r = stage["ratio"]
+        lines.append(f"{'in-process':16s} {'change/parent time':22s} median {r['median']:.3f}"
+                     f" q1 {r['q1']:.3f} q3 {r['q3']:.3f} wins {stage['change_wins']:2d}"
+                     f"/{stage['passes']}")
+    elif stage:
+        lines.append(f"{'in-process':39s} {stage}")
     return lines
 
 
@@ -243,12 +343,13 @@ def main(argv=None) -> int:
     if args.pairs < 2 or parent == HERE:
         p.error("--pairs needs N >= 2 and a parent checkout other than this one")
     out = measure(parent, HERE, args.pairs)
+    out["in_process"] = in_process(parent, HERE)
     previous = sorted(HERE.glob("BENCH_[0-9]*.json"), key=number)
     path = HERE / f"BENCH_{(number(previous[-1]) if previous else 0) + 1:03d}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print("\n".join(report(out)))
     print(f"wrote {path}")
-    return 0
+    return 1 if "failed" in out["in_process"] else 0
 
 
 if __name__ == "__main__":
