@@ -44,7 +44,7 @@ def stationary(g: Graph, alpha: float) -> StationaryDist:
     check_alpha(alpha)
     if alpha == 0.0 and (g.n == 0 or g.degrees.min() == 0):
         raise ValueError("alpha=0 with an isolated node: stationary law undefined")
-    e = math.frexp(g.d_max + alpha)[1]  # units of 2**e > d_max + alpha: exact, and finite
+    e = math.frexp(g.d_max + alpha)[1]  # units of 2**e > d_max + alpha: exact, and no overflow
     denom = math.ldexp(2.0 * g.m_edges, -e) + g.n * math.ldexp(alpha, -e)
     return StationaryDist(alpha, np.ldexp(g.degrees + alpha, -e) / denom)
 
@@ -144,6 +144,7 @@ def hitting_time_asymptotic(g: Graph, alpha: float) -> float:
     computed. The target is the unique max-degree node under the
     (-degree, id) tie rule.
     """
+    check_alpha(alpha)
     if g.n < 2:
         raise ValueError("need at least 2 nodes")
     top = exact_top_k(g, 1)[0]

@@ -82,12 +82,14 @@ class TestStationary:
         assert pi == pytest.approx(1.0 / g.n, rel=1e-12)
         assert values == pytest.approx([1.0, g.n, g.n / 2], rel=1e-12)
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
     def test_bad_alpha_rejected(self, star4, alpha):
         with pytest.raises(ValueError, match="alpha"):
             stationary(star4, alpha)
         with pytest.raises(ValueError, match="alpha"):
             jump_probability(star4, alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            hitting_time_asymptotic(star4, alpha)
 
 
 class TestJumpProbability:
