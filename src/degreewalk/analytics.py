@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, check_k, exact_top_k
+from .graph import Graph, check_k
 from .generators import ParetoTail
 from .walk import check_alpha
 
@@ -31,8 +31,16 @@ class StationaryDist:
     alpha: float
     probs: np.ndarray
 
-    def max_prob(self) -> float:
-        return float(self.probs.max())
+
+def _units(g: Graph, alpha: float) -> tuple[int, float, float]:
+    """check_alpha(alpha), then e and 2|E| and alpha in units of 2**e: e = 0 until
+    d_max + alpha reaches 2**256, and then 2**e > d_max + alpha. Below that, with
+    n <= _MAX_NODES < 2**32, no sum reaches n * (d_max + alpha) < 2**288 and CG's
+    matrix norm is at most about 2 * (d_max + alpha), so nothing nears overflow
+    and alpha keeps every bit; past it, the units keep a huge alpha finite."""
+    check_alpha(alpha)
+    e = math.frexp(g.d_max + alpha)[1] if g.d_max + alpha >= 2.0 ** 256 else 0
+    return e, math.ldexp(2.0 * g.m_edges, -e), math.ldexp(alpha, -e)
 
 
 def stationary(g: Graph, alpha: float) -> StationaryDist:
@@ -41,25 +49,21 @@ def stationary(g: Graph, alpha: float) -> StationaryDist:
     Requires alpha > 0, or alpha == 0 on a graph without isolated nodes
     (otherwise the walk's long-run distribution is undefined).
     """
-    check_alpha(alpha)
+    e, two_m, a = _units(g, alpha)
     if alpha == 0.0 and (g.n == 0 or g.degrees.min() == 0):
         raise ValueError("alpha=0 with an isolated node: stationary law undefined")
-    e = math.frexp(g.d_max + alpha)[1]  # units of 2**e > d_max + alpha: exact, and no overflow
-    denom = math.ldexp(2.0 * g.m_edges, -e) + g.n * math.ldexp(alpha, -e)
-    return StationaryDist(alpha, np.ldexp(g.degrees + alpha, -e) / denom)
+    return StationaryDist(alpha, np.ldexp(g.degrees + alpha, -e) / (two_m + g.n * a))
 
 
 def jump_probability(g: Graph, alpha: float) -> float:
     """Steady-state probability that a step is a jump: n*alpha/(2|E|+n*alpha)."""
-    check_alpha(alpha)
-    e = math.frexp(g.d_max + alpha)[1]  # units of 2**e, as in stationary
-    jumps = g.n * math.ldexp(alpha, -e)
-    return jumps / (math.ldexp(2.0 * g.m_edges, -e) + jumps) if alpha else 0.0
+    _, two_m, a = _units(g, alpha)
+    return g.n * a / (two_m + g.n * a) if alpha else 0.0
 
 
 def expected_return_time_max(g: Graph, alpha: float) -> float:
     """Expected return time to the largest-degree node, 1/pi_max."""
-    return 1.0 / stationary(g, alpha).max_prob()
+    return 1.0 / float(stationary(g, alpha).probs.max())
 
 
 def return_time_from_constants(n: float, avg_degree: float, alpha: float,
@@ -84,7 +88,7 @@ def hitting_time_exact(g: Graph, alpha: float, target: int,
         start node, or a length-n probability vector. Mass on the target
         contributes hitting time 0.
     """
-    check_alpha(alpha)
+    e, _, a = _units(g, alpha)
     target = g.check_node(target, "target")
     src = np.repeat(np.arange(g.n), g.degrees)
     if alpha == 0.0:  # seen: the nodes that reach the target along edges
@@ -96,9 +100,7 @@ def hitting_time_exact(g: Graph, alpha: float, target: int,
             raise UnreachableTargetError(
                 "unreachable target: alpha=0 and the graph does not connect "
                 "every node to the target")
-    # solve in units of 2**e > max(w): exact, so h is unchanged, and no huge alpha overflows
-    e = math.frexp(g.d_max + alpha)[1]
-    w, jump = np.ldexp(g.degrees + alpha, -e), np.ldexp(alpha, -e) / g.n
+    w, jump = np.ldexp(g.degrees + alpha, -e), a / g.n  # in _units' units: h is unchanged
 
     def kernel(x):  # x[target] is 0 on every call, so only its row is zeroed
         y = w * x - np.ldexp(np.bincount(src, x[g.neighbors], g.n), -e) - jump * x.sum()
@@ -144,13 +146,11 @@ def hitting_time_asymptotic(g: Graph, alpha: float) -> float:
     computed. The target is the unique max-degree node under the
     (-degree, id) tie rule.
     """
-    check_alpha(alpha)
+    e, two_m, a = _units(g, alpha)
     if g.n < 2:
         raise ValueError("need at least 2 nodes")
-    top = exact_top_k(g, 1)[0]
-    e = math.frexp(g.d_max + alpha)[1]  # units of 2**e, as in stationary
-    rest, d, a = np.ldexp([g.degrees.sum() - top.degree, top.degree, alpha], -e).tolist()
-    return (rest + (g.n - 1) * a) / (d + 2.0 * a * (1.0 - 1.0 / g.n))
+    d = math.ldexp(g.d_max, -e)
+    return (two_m - d + (g.n - 1) * a) / (d + 2.0 * a * (1.0 - 1.0 / g.n))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from . import __version__, analytics, detector, experiments, generators
 from .graph import Graph, exact_top_k, load_edge_list
-from .walk import EveryStep, Thinned, WalkConfig, check_alpha
+from .walk import EveryStep, Thinned, WalkConfig, check_alpha, check_sampling
 
 
 class UsageError(Exception):
@@ -135,7 +135,7 @@ def _rule_threshold(args, m):
 def _cmd_detect(args) -> int:
     threshold = _rule_threshold(args, args.m)
     cfg = _walk_config(args)
-    detector.check_sampling(cfg.mode, cfg.max_steps)
+    check_sampling(cfg.mode, cfg.max_steps)
     g = _load_graph(args.graph)
     cfg = replace(cfg, alpha=_resolve_alpha(args, g))
     dec = detector.detect_with_rule(g, cfg, args.k, args.rule, threshold)
@@ -260,15 +260,11 @@ def build_parser() -> _Parser:
     pa.add_argument("--edges-per-node", type=int, default=generators.PAConfig.edges_per_node)
     pa.add_argument("--attract", type=float, default=generators.PAConfig.attractiveness,
                     help="attachment offset added to each degree")
-    _common_flags(pa)
-    pa.set_defaults(func=_cmd_generate)
     cm = gen_sub.add_parser("cm", help="erased configuration model")
     cm.add_argument("--n", type=int, required=True)
     cm.add_argument("--gamma", type=float, required=True)
     cm.add_argument("--c", type=float, required=True)
     cm.add_argument("--xprime", type=float, required=True)
-    _common_flags(cm)
-    cm.set_defaults(func=_cmd_generate)
 
     ing = sub.add_parser("ingest", help="parse and summarize an edge list")
     ing.add_argument("graph")
@@ -276,8 +272,6 @@ def build_parser() -> _Parser:
                      help="accepted for compatibility; has no effect "
                           "(the stored graph is always undirected)")
     ing.add_argument("--cache", default=None, help="write a binary cache to this .npz path")
-    _common_flags(ing)
-    ing.set_defaults(func=_cmd_ingest)
 
     det = sub.add_parser("detect", help="run the top-k candidate-list walk")
     det.add_argument("graph")
@@ -289,8 +283,6 @@ def build_parser() -> _Parser:
     det.add_argument("--b-bar", type=float, default=None,
                      help="coverage threshold (rule r2)")
     _walk_flags(det)
-    _common_flags(det)
-    det.set_defaults(func=_cmd_detect)
 
     ana = sub.add_parser("analyze", help="closed-form walk analytics")
     ana.add_argument("what", choices=["stationary", "return-time", "hitting"])
@@ -300,8 +292,6 @@ def build_parser() -> _Parser:
                      help="hitting target (default: max-degree node)")
     ana.add_argument("--nu", default="uniform",
                      help="initial distribution: uniform or node:<id>")
-    _common_flags(ana)
-    ana.set_defaults(func=_cmd_analyze)
 
     est = sub.add_parser("estimate", help="extreme-value degree predictions")
     est_sub = est.add_subparsers(dest="what", required=True)
@@ -313,8 +303,6 @@ def build_parser() -> _Parser:
     evt.add_argument("--k", type=int, default=10)
     evt.add_argument("--variant", choices=["median", "mode", "mean"],
                      default="median")
-    _common_flags(evt)
-    evt.set_defaults(func=_cmd_estimate)
 
     exp = sub.add_parser("experiment", help="seeded experiment harness")
     exp.add_argument("what", choices=["hitting", "accuracy", "stopping"])
@@ -327,9 +315,12 @@ def build_parser() -> _Parser:
     exp.add_argument("--a-bar", type=float, default=None)
     exp.add_argument("--b-bar", type=float, default=None)
     _walk_flags(exp)
-    _common_flags(exp)
-    exp.set_defaults(func=_cmd_experiment)
 
+    for leaf, func in ((pa, _cmd_generate), (cm, _cmd_generate), (ing, _cmd_ingest),
+                       (det, _cmd_detect), (ana, _cmd_analyze), (evt, _cmd_estimate),
+                       (exp, _cmd_experiment)):
+        _common_flags(leaf)  # last in each leaf's help, after its own flags
+        leaf.set_defaults(func=func)
     return parser
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, check_k
-from .walk import Mode, Thinned, WalkConfig, _visits
+from .walk import WalkConfig, _visits, check_sampling
 
 
 class CandidateList:
@@ -166,14 +166,6 @@ def check_rule_threshold(rule: str, threshold: float, k: int) -> None:
                              f"coverage can reach, got {threshold}")
     elif not 0.0 < threshold < 2.0:
         raise ValueError(f"a_bar must be in (0, 2), got {threshold}")
-
-
-def check_sampling(mode: Mode, max_steps: int) -> None:
-    """ValueError naming the transient when a Thinned mode skips every one
-    of the max_steps raw steps, so that no sample can arrive."""
-    if isinstance(mode, Thinned) and mode.transient >= max_steps:
-        raise ValueError(f"transient must be below max_steps={max_steps}, "
-                         f"or no step is sampled, got {mode.transient}")
 
 
 def rule1_threshold(k: int, a_bar: float) -> int:

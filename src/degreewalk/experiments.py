@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import expected_correct_count, stationary
-from .detector import check_rule_threshold, check_sampling, detect_with_rule
+from .detector import check_rule_threshold, detect_with_rule
 from .graph import Graph, check_k, exact_top_k
-from .walk import WalkConfig, _visits, walk_until_hit
+from .walk import WalkConfig, _visits, check_sampling, walk_until_hit
 
 
 def _check_runs(runs: int) -> None:

@@ -78,6 +78,14 @@ class Thinned:
 Mode = Union[EveryStep, Thinned]
 
 
+def check_sampling(mode: Mode, max_steps: int) -> None:
+    """ValueError naming the transient when a Thinned mode skips every one
+    of the max_steps raw steps, so that no sample can arrive."""
+    if isinstance(mode, Thinned) and mode.transient >= max_steps:
+        raise ValueError(f"transient must be below max_steps={max_steps}, "
+                         f"or no step is sampled, got {mode.transient}")
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     alpha: float

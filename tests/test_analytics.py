@@ -106,6 +106,14 @@ class TestJumpProbability:
         want = g.n * alpha / (2 * g.m_edges + g.n * alpha)
         assert jump_probability(g, alpha) == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310])
+    @pytest.mark.parametrize("graph", ["star4", "pa_graph"])
+    def test_subnormal_alpha_keeps_its_bits(self, graph, alpha, request):
+        """d_max + alpha is far below 2**256, so alpha is used as it is, not
+        scaled down to a subnormal that has lost its bits."""
+        g = request.getfixturevalue(graph)
+        assert jump_probability(g, alpha) == g.n * alpha / (2 * g.m_edges + g.n * alpha)
+
 
 class TestReturnTime:
     def test_star_alpha0(self, star4):
@@ -187,6 +195,15 @@ class TestHittingTimeExact:
             assert hitting_time_exact(g, alpha, target, nu=nu) == pytest.approx(
                 hitting_time_dense(g, alpha, target, nu), rel=1e-9)
         assert hitting_time_exact(g, alpha, target, nu=target) == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [2.0 ** 255, 2.0 ** 257])
+    def test_either_side_of_the_units_switch(self, alpha):
+        """Closed-form units of 2**e start where d_max + alpha reaches 2**256."""
+        g, _, target = _oracle_case("ac3_3")
+        h = hitting_time_exact(g, alpha, target)
+        assert math.isfinite(h)
+        assert h == pytest.approx(hitting_time_dense(g, alpha, target), rel=1e-9)
 
     def test_iteration_cap_raises(self, monkeypatch):
         g = random_connected_graph(50, 5.0, seed=17)

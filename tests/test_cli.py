@@ -577,3 +577,13 @@ class TestHelp:
                      "--target", "--nu", "--threads", "--version", "--m-grid",
                      "--runs", "--variant", "--cache"]:
             assert flag in blob, f"{flag} missing from help"
+
+    @pytest.mark.parametrize("path", [["generate", "pa"], ["generate", "cm"], ["ingest"],
+                                      ["detect"], ["analyze"], ["estimate", "evt"],
+                                      ["experiment"]])
+    def test_every_leaf_takes_the_common_flags(self, path, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(path + ["--help"])
+        text = capsys.readouterr().out
+        for flag in ("--seed", "--threads", "--out"):
+            assert flag in text, f"{flag} missing from {' '.join(path)} --help"
