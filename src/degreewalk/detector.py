@@ -171,6 +171,8 @@ def check_rule_threshold(rule: str, threshold: float, k: int) -> None:
 def rule1_threshold(k: int, a_bar: float) -> int:
     """Smallest natural x with (1 - exp(-x))^k >= 1 - a_bar/2."""
     check_rule_threshold("r1", a_bar, k)
+    if k > sys.float_info.max:  # the power below takes k as a float
+        raise ValueError(f"k must be at most the largest float for rule r1, got {k}")
     goal = 1.0 - a_bar / 2.0
     x = 1
     while (1.0 - math.exp(-x)) ** k < goal:

@@ -245,6 +245,8 @@ class TestRule1:
             rule1_threshold(10, 2.0)
         with pytest.raises(ValueError):
             rule1_threshold(0, 0.5)
+        with pytest.raises(ValueError, match="largest float"):
+            rule1_threshold(10**309, 0.5)
 
     def test_firing_on_min_hits(self):
         lst = list_with([(0, 9), (1, 5)], hits={0: 9, 1: 3})
